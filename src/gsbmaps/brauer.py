@@ -19,14 +19,38 @@ from .errors import ModelMismatchError, PreconditionError, UnsupportedModelError
 GENERIC_INDEPENDENT = "GENERIC_INDEPENDENT"
 
 
+# With the first 13 primes as bases, Miller-Rabin decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; refuses n it cannot decide exactly."""
+    if n >= _MILLER_RABIN_EXACT_BELOW:
+        raise PreconditionError(
+            f"cannot decide whether {n} is prime: primality is decided exactly "
+            f"only below {_MILLER_RABIN_EXACT_BELOW}"
+        )
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

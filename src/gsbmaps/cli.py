@@ -9,6 +9,7 @@ mismatch found by verify-examples.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -200,7 +201,8 @@ def _cmd_equivalent(args: argparse.Namespace) -> int:
     left = inst.product(args.left)
     right = inst.product(args.right)
     rep = equivalent(left, right)
-    assert rep.backward is not None
+    if rep.backward is None:
+        raise InvariantViolation("equivalent returned no backward direction")
     payload = {
         "command": "equivalent",
         "left": str(left),
@@ -405,7 +407,13 @@ def _cmd_verify_examples(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_INVARIANT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call.
+
+    parse_args leaves the parser unchanged, so one instance serves repeated
+    main() calls in a process; callers must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="gsbmaps",
         description=(
@@ -474,8 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InstanceFormatError as exc:

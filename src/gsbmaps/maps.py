@@ -107,15 +107,20 @@ def classical_criterion(
     return subgroups_equal(lhs, rhs)
 
 
-def _common_degree(algebras: Sequence[AlgebraSpec]) -> int:
-    degrees = {a.degree_exponent for a in algebras}
-    if len(degrees) != 1:
-        shown = sorted({a.degree for a in algebras})
-        raise PreconditionError(
-            "criterion needs one common degree, got degrees "
-            + ", ".join(map(str, shown))
-        )
-    return degrees.pop()
+def common_degree(algebras: Sequence[AlgebraSpec], what: str) -> int:
+    """The degree exponent shared by a nonempty list of algebras.
+
+    Otherwise raises PreconditionError naming the first algebra and the first
+    one whose degree differs from it; what names the operation that needs it.
+    """
+    first = algebras[0]
+    for a in algebras[1:]:
+        if a.degree_exponent != first.degree_exponent:
+            raise PreconditionError(
+                f"{what} needs one common degree: {first} has degree "
+                f"{first.degree}, {a} has degree {a.degree}"
+            )
+    return first.degree_exponent
 
 
 def relation_witness(
@@ -135,7 +140,7 @@ def relation_witness(
     if len(ks) != 1:
         raise PreconditionError("all base factors must share one k")
     k = ks.pop()
-    s = _common_degree([target, *base.algebras()])
+    s = common_degree([target, *base.algebras()], "criterion")
     biggest = max(f.algebra.exponent for f in base.factors)
     if target.exponent < biggest:
         raise PreconditionError(
@@ -207,7 +212,7 @@ def mutual_relation_witness(
     for a in (*left, *right):
         if a.model != model:
             raise ModelMismatchError("families use different group models")
-    s = _common_degree([*left, *right])
+    s = common_degree([*left, *right], "criterion")
     if not 0 <= k < s:
         raise PreconditionError(f"k={k} out of range (need 0 <= k < {s})")
     for name, family in (("left", left), ("right", right)):

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .brauer import AlgebraSpec, subgroup_generated, subgroups_equal
 from .errors import ModelMismatchError, PreconditionError
-from .maps import equivalent
+from .maps import common_degree, equivalent
 from .reduction import GSBFactor, GSBProduct
 
 
@@ -155,7 +155,14 @@ def compare_families(
     EQUAL means every motive on either side has an isomorphic partner,
     TATE_ONLY means no pair is isomorphic, PARTIAL means some but not all,
     with the unmatched descriptors reported as separating witnesses.
+
+    A family of two or more algebras has multi-factor motives, which compare
+    through index reduction and so need one common degree on both sides;
+    that is checked here, before any descriptor is built.  Two single
+    algebras of different degrees compare through the subgroup fast path.
     """
+    if len(left) > 1 or len(right) > 1:
+        common_degree([*left, *right], "comparing families of two or more algebras")
     l_motives = family_motives(left)
     r_motives = family_motives(right)
     if l_motives[0].model != r_motives[0].model:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .brauer import AlgebraSpec, BrauerGroupModel, combine, generic_index
-from .errors import ModelMismatchError, PreconditionError
+from .errors import InvariantViolation, ModelMismatchError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -154,5 +154,6 @@ def reduced_index(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
         value = reduction_term(target, base, tup)
         if best is None or value < best:
             best, best_tuple = value, tup
-    assert best is not None
+    if best is None:
+        raise InvariantViolation("index reduction enumerated no tuples")
     return ReducedIndex(best, best_tuple)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from gsbmaps import (
     subgroup_generated,
     subgroups_equal,
 )
+from gsbmaps.brauer import _is_prime
 from helpers import (
     biquaternion_model,
     mixed_exponent_model,
@@ -75,6 +78,20 @@ class TestModelValidation:
         assert m.rank == 3
         assert m.order == 16
         assert len(list(m.elements())) == 16
+
+    def test_primality_matches_trial_division(self):
+        for n in range(-2, 3000):
+            is_prime = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+            assert _is_prime(n) == is_prime, n
+
+    def test_rejects_strong_pseudoprime(self):
+        # 151 * 751 * 28351: a strong pseudoprime to bases 2, 3, 5 and 7
+        with pytest.raises(PreconditionError, match="prime number"):
+            BrauerGroupModel(3215031751, (3215031751,))
+
+    def test_prime_beyond_exact_range_refused(self):
+        with pytest.raises(PreconditionError, match="decided exactly only below"):
+            BrauerGroupModel(2**89 - 1, (2**89 - 1,))
 
 
 class TestClassNormalization:

@@ -297,6 +297,25 @@ class TestExitCodes:
         assert code == 3
         assert "common degree" in err
 
+    def test_mixed_degree_families(self, capsys, tmp_path):
+        doc = json.loads(json.dumps(BIQUATERNION_DOC))
+        doc["algebras"]["Q"] = {"class": {"q1": 1}, "degree": 2}
+        path = tmp_path / "mixed_degrees.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys,
+            "-i",
+            str(path),
+            "compare-families",
+            "--left",
+            "Δ1,Q",
+            "--right",
+            "Δ1",
+        )
+        assert code == 3
+        assert out == ""
+        assert "Δ1 has degree 4, Q has degree 2" in err
+
     def test_out_of_range_reduced_dimension(self, capsys, biq_path):
         code, _, err = run_cli(
             capsys, "-i", biq_path, "reduced-index", "--target", "Δ1", "--base", "X(4;Δ2)"
@@ -324,6 +343,60 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "-i", biq_path, "index", "--algebra", "Δ9")
         assert code == 2
         assert "unknown algebra" in err
+
+
+# Runs a list of argv lists through main() in one fresh interpreter, first in
+# the given order and then reversed, and prints (code, stdout, stderr) per call.
+SESSION_SCRIPT = """
+import contextlib, io, json, sys
+from gsbmaps.cli import main
+
+def call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [code, out.getvalue(), err.getvalue()]
+
+calls = json.loads(sys.argv[1])
+forward = [call(argv) for argv in calls]
+backward = [call(argv) for argv in reversed(calls)][::-1]
+print(json.dumps([forward, backward]))
+"""
+
+
+class TestSharedParser:
+    def test_no_state_carried_between_calls(self, biq_path):
+        command = [
+            "equivalent",
+            "--left",
+            "X(1;Δ1) x X(1;Δ2)",
+            "--right",
+            "X(1;Δ1) x X(1;Δ3)",
+        ]
+        calls = [
+            ["-i", biq_path, "reduced-index", "--target", "Δ1"],  # usage error
+            ["-i", biq_path, "--json", *command],
+            ["-i", biq_path, *command],
+            command,  # no instance given
+            ["verify-examples"],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", SESSION_SCRIPT, json.dumps(calls)],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        forward, backward = json.loads(proc.stdout)
+        assert [code for code, _, _ in forward] == [2, 0, 0, 2, 0]
+        assert "the following arguments are required: --base" in forward[0][2]
+        assert json.loads(forward[1][1])["equivalent"] is True
+        assert "equivalent: true" in forward[2][1]
+        assert "needs an instance file" in forward[3][2]
+        assert "all claims hold" in forward[4][1]
+        assert forward == backward
 
 
 class TestModuleEntryPoint:

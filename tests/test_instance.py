@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,18 @@ class TestLoadInstance:
         doc["prime"] = 6
         with pytest.raises(InstanceFormatError, match="prime"):
             load_instance(doc)
+
+    def test_large_prime_loads_quickly(self):
+        p = 2**61 - 1
+        doc = {
+            "prime": p,
+            "generators": [{"name": "g", "order": p}],
+            "algebras": {"D": {"class": {"g": 1}, "degree": p}},
+        }
+        start = time.perf_counter()
+        inst = load_instance(doc)
+        assert time.perf_counter() - start < 0.5
+        assert inst.algebra("D").index == p
 
     def test_duplicate_generator_names(self):
         doc = _biquaternion_doc()

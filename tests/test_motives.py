@@ -189,6 +189,28 @@ class TestCompareFamilies:
                 verdict = compare_families([a], [b]).verdict
                 assert verdict in (FamilyVerdict.EQUAL, FamilyVerdict.TATE_ONLY)
 
+    def test_mixed_degrees_rejected_before_any_reduction(self, monkeypatch):
+        import gsbmaps.maps
+
+        m, d1, _, _ = biquaternion_model()
+        q = division_algebra(m.element((1, 0, 0)), "Q")
+        calls = []
+        monkeypatch.setattr(
+            gsbmaps.maps, "reduced_index", lambda *args: calls.append(args)
+        )
+        for left, right in (([d1, q], [d1]), ([d1], [d1, q]), ([d1, d1], [q])):
+            with pytest.raises(PreconditionError) as exc:
+                compare_families(left, right)
+            message = str(exc.value)
+            assert "one common degree" in message
+            assert "Δ1 has degree 4" in message and "Q has degree 2" in message
+        assert calls == []
+
+    def test_mixed_degree_singles_use_fast_path(self):
+        m, d1, _, _ = biquaternion_model()
+        q = division_algebra(m.element((1, 0, 0)), "Q")
+        assert compare_families([d1], [q]).verdict is FamilyVerdict.TATE_ONLY
+
     def test_cross_model_rejected(self):
         _, d1, _, _ = biquaternion_model()
         _, e1, _, _ = mixed_exponent_model()
