@@ -3,7 +3,6 @@ Severi-Brauer varieties and for isomorphism of their upper motives, over a
 finite abelian p-group model of p-primary Brauer classes."""
 
 from .brauer import (
-    GENERIC_INDEPENDENT,
     AlgebraSpec,
     BrauerClass,
     BrauerGroupModel,
@@ -12,9 +11,9 @@ from .brauer import (
     combine,
     division_algebra,
     generic_index,
-    register_index_rule,
     subgroup_generated,
     subgroups_equal,
+    vp,
 )
 from .errors import (
     GsbError,
@@ -22,7 +21,6 @@ from .errors import (
     InvariantViolation,
     ModelMismatchError,
     PreconditionError,
-    UnsupportedModelError,
 )
 from .instance import (
     Instance,
@@ -59,13 +57,11 @@ from .reduction import (
     ReducedIndex,
     reduced_index,
     reduction_term,
-    vp,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GENERIC_INDEPENDENT",
     "AlgebraSpec",
     "BrauerClass",
     "BrauerGroupModel",
@@ -85,7 +81,6 @@ __all__ = [
     "RationalMapReport",
     "ReducedIndex",
     "Subgroup",
-    "UnsupportedModelError",
     "UpperMotiveDescriptor",
     "class_exponent",
     "classical_criterion",
@@ -106,7 +101,6 @@ __all__ = [
     "parse_variety_expression",
     "reduced_index",
     "reduction_term",
-    "register_index_rule",
     "relation_witness",
     "subgroup_generated",
     "subgroups_equal",

@@ -3,8 +3,9 @@
 A model fixes a prime p together with finitely many generator orders, each
 a power of p.  A class is an exponent vector over those generators, always
 stored reduced into [0, order).  The exponent of a class (its order in the
-group) is determined by the group structure; its index is prescribed by the
-model's pluggable index rule.  Everything is immutable and pure.
+group) is determined by the group structure; its index follows the
+independent-generator rule of generic_index.  Everything is immutable and
+pure.
 """
 
 from __future__ import annotations
@@ -12,12 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .errors import ModelMismatchError, PreconditionError, UnsupportedModelError
-
-GENERIC_INDEPENDENT = "GENERIC_INDEPENDENT"
-
+from .errors import ModelMismatchError, PreconditionError
 
 # With the first 13 primes as bases, Miller-Rabin decides primality exactly
 # below this bound (Sorenson and Webster, Math. Comp. 86, 2017).
@@ -54,29 +52,36 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _p_power_exponent(n: int, p: int) -> int | None:
-    """e with n == p**e, or None if n is not a power of p."""
-    if n <= 0:
-        return None
+def vp(n: int, p: int) -> int:
+    """p-adic valuation of a positive integer: the largest e with p^e | n."""
+    if p < 2:
+        raise PreconditionError(f"vp needs a base >= 2, got {p}")
+    if n < 1:
+        raise PreconditionError(f"vp needs a positive integer, got {n}")
     e = 0
     while n % p == 0:
         n //= p
         e += 1
-    return e if n == 1 else None
+    return e
+
+
+def _p_power_exponent(n: int, p: int) -> int | None:
+    """e with n == p**e, or None if n is not a power of p."""
+    if n < 1:
+        return None
+    e = vp(n, p)
+    return e if n == p**e else None
 
 
 @dataclass(frozen=True)
 class BrauerGroupModel:
     """The subgroup of a Brauer group under study, given by generator orders.
 
-    All orders are powers of one prime and strictly greater than 1.  The
-    index_rule tag selects how the index of a class is computed from its
-    exponent vector; see generic_index.
+    All orders are powers of one prime and strictly greater than 1.
     """
 
     prime: int
     generator_orders: tuple[int, ...]
-    index_rule: str = GENERIC_INDEPENDENT
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -200,39 +205,17 @@ def class_exponent(c: BrauerClass) -> int:
     return result
 
 
-IndexRule = Callable[[BrauerClass], int]
+def generic_index(c: BrauerClass) -> int:
+    """Index of the division algebra in the class c.
 
-
-def _independent_generator_index(c: BrauerClass) -> int:
-    # Generators model division algebras with no relations between their
-    # underlying algebras beyond the group structure, so the index of a
-    # combination is the product of the component orders.
+    Generators model division algebras with no relations between their
+    underlying algebras beyond the group structure, so the index of a
+    combination is the product of the component orders.
+    """
     result = 1
     for e, o in zip(c.exponents, c.group.generator_orders):
         result *= o // math.gcd(e, o)
     return result
-
-
-_INDEX_RULES: dict[str, IndexRule] = {
-    GENERIC_INDEPENDENT: _independent_generator_index,
-}
-
-
-def register_index_rule(tag: str, rule: IndexRule) -> None:
-    """Register an alternative index rule under a fresh tag."""
-    if tag in _INDEX_RULES:
-        raise PreconditionError(f"index rule {tag!r} is already registered")
-    _INDEX_RULES[tag] = rule
-
-
-def generic_index(c: BrauerClass) -> int:
-    """Index of the division algebra in the class c, per the model's rule."""
-    rule = _INDEX_RULES.get(c.group.index_rule)
-    if rule is None:
-        raise UnsupportedModelError(
-            f"model has unknown index rule {c.group.index_rule!r}"
-        )
-    return rule(c)
 
 
 @dataclass(frozen=True)
@@ -285,10 +268,7 @@ class AlgebraSpec:
 
 def division_algebra(c: BrauerClass, label: str | None = None) -> AlgebraSpec:
     """The division algebra of class c, with degree equal to its model index."""
-    e = _p_power_exponent(generic_index(c), c.group.prime)
-    if e is None:  # index rules must return p-powers; guard anyway
-        raise PreconditionError("index rule returned a value that is not a p-power")
-    return AlgebraSpec(c, e, label)
+    return AlgebraSpec(c, vp(generic_index(c), c.group.prime), label)
 
 
 def _class_key(c: BrauerClass) -> tuple[int, ...]:

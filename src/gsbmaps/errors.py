@@ -9,10 +9,6 @@ class ModelMismatchError(GsbError):
     """Operands belong to different Brauer group models."""
 
 
-class UnsupportedModelError(GsbError):
-    """The group model carries an index rule this build does not know."""
-
-
 class PreconditionError(GsbError):
     """A documented hypothesis of an operation is violated by the inputs."""
 

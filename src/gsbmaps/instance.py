@@ -190,12 +190,15 @@ def parse_instance(path: str | Path) -> Instance:
     p = Path(path)
     try:
         raw = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InstanceFormatError(f"cannot read instance file {p}: {exc}") from exc
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{p}: malformed JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer past the int digit limit, or nesting past the stack
+        raise InstanceFormatError(f"{p}: cannot decode JSON: {exc}") from exc
     return load_instance(doc, source=str(p))
 
 
@@ -228,7 +231,12 @@ class _Cursor:
             raise InstanceFormatError(
                 f"expected an integer at position {start} in {self.text!r}"
             )
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError as exc:  # past the digit limit, or a digit like "²"
+            raise InstanceFormatError(
+                f"bad integer at position {start}: {exc}"
+            ) from exc
 
     def read_until(self, stop: str) -> str:
         start = self.pos

@@ -17,14 +17,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .brauer import (
-    AlgebraSpec,
-    combine,
-    subgroup_generated,
-    subgroups_equal,
-)
+from .brauer import AlgebraSpec, combine, subgroup_generated, subgroups_equal, vp
 from .errors import InvariantViolation, ModelMismatchError, PreconditionError
-from .reduction import GSBFactor, GSBProduct, reduced_index, vp
+from .reduction import GSBFactor, GSBProduct, common_degree, reduced_index
 
 
 @dataclass(frozen=True)
@@ -59,19 +54,20 @@ class RationalMapReport:
         return self.forward.exists and self.backward.exists
 
 
+def _factor_witness(f: GSBFactor, base: GSBProduct) -> FactorWitness:
+    # X(p^k;D) has a rational point iff the reduced index of D divides p^k
+    ri = reduced_index(f.algebra, base)
+    return FactorWitness(f, f.reduced_dim % ri.value == 0, ri.value, ri.witness)
+
+
 def has_rational_point_over(target: GSBFactor, base: GSBProduct) -> bool:
     """True iff the reduced index of the factor's algebra divides p^k."""
-    value = reduced_index(target.algebra, base).value
-    return target.reduced_dim % value == 0
+    return _factor_witness(target, base).has_point
 
 
 def _direction(source: GSBProduct, target: GSBProduct) -> DirectionReport:
-    witnesses = []
-    for f in target.factors:
-        ri = reduced_index(f.algebra, source)
-        has_point = f.reduced_dim % ri.value == 0
-        witnesses.append(FactorWitness(f, has_point, ri.value, ri.witness))
-    return DirectionReport(all(w.has_point for w in witnesses), tuple(witnesses))
+    witnesses = tuple(_factor_witness(f, source) for f in target.factors)
+    return DirectionReport(all(w.has_point for w in witnesses), witnesses)
 
 
 def exists_rational_map(source: GSBProduct, target: GSBProduct) -> RationalMapReport:
@@ -107,20 +103,26 @@ def classical_criterion(
     return subgroups_equal(lhs, rhs)
 
 
-def common_degree(algebras: Sequence[AlgebraSpec], what: str) -> int:
-    """The degree exponent shared by a nonempty list of algebras.
+def _balanced_row(
+    d: AlgebraSpec, family: Sequence[AlgebraSpec], k: int, s: int
+) -> Optional[tuple[int, ...]]:
+    """Lexicographically smallest balanced relation of d over family, or None.
 
-    Otherwise raises PreconditionError naming the first algebra and the first
-    one whose degree differs from it; what names the operation that needs it.
+    That is a row i in [1, p^s]^m with sum_j vp(gcd(i_j, p^k)) = k(m-1) and
+    [d] = sum_j i_j [D_j] over the m algebras D_j of family.
     """
-    first = algebras[0]
-    for a in algebras[1:]:
-        if a.degree_exponent != first.degree_exponent:
-            raise PreconditionError(
-                f"{what} needs one common degree: {first} has degree "
-                f"{first.degree}, {a} has degree {a.degree}"
-            )
-    return first.degree_exponent
+    p = d.prime
+    m = len(family)
+    pk = p**k
+    budget = k * (m - 1)
+    for row in itertools.product(range(1, p**s + 1), repeat=m):
+        if sum(vp(math.gcd(a, pk), p) for a in row) != budget:
+            continue
+        terms = [(d.brauer_class, 1)]
+        terms += [(f.brauer_class, -a) for f, a in zip(family, row)]
+        if combine(terms).is_zero:
+            return row
+    return None
 
 
 def relation_witness(
@@ -149,20 +151,12 @@ def relation_witness(
         )
     if not has_rational_point_over(GSBFactor(target, k), base):
         return None
-    p = base.prime
-    n = len(base.factors)
-    pk = p**k
-    budget = k * (n - 1)
-    for tup in itertools.product(range(1, p**s + 1), repeat=n):
-        if sum(vp(math.gcd(ij, pk), p) for ij in tup) != budget:
-            continue
-        terms = [(target.brauer_class, 1)]
-        terms += [(f.algebra.brauer_class, -ij) for f, ij in zip(base.factors, tup)]
-        if combine(terms).is_zero:
-            return tup
-    raise InvariantViolation(
-        "rational point exists but no balanced relation was found"
-    )
+    row = _balanced_row(target, base.algebras(), k, s)
+    if row is None:
+        raise InvariantViolation(
+            "rational point exists but no balanced relation was found"
+        )
+    return row
 
 
 @dataclass(frozen=True)
@@ -175,23 +169,6 @@ class MutualRelation:
 
     left_over_right: tuple[tuple[int, ...], ...]
     right_over_left: tuple[tuple[int, ...], ...]
-
-
-def _balanced_row(
-    d: AlgebraSpec, family: Sequence[AlgebraSpec], k: int, s: int
-) -> Optional[tuple[int, ...]]:
-    p = d.prime
-    m = len(family)
-    pk = p**k
-    budget = k * (m - 1)
-    for row in itertools.product(range(1, p**s + 1), repeat=m):
-        if sum(vp(math.gcd(a, pk), p) for a in row) != budget:
-            continue
-        terms = [(d.brauer_class, 1)]
-        terms += [(f.brauer_class, -a) for f, a in zip(family, row)]
-        if combine(terms).is_zero:
-            return row
-    return None
 
 
 def mutual_relation_witness(

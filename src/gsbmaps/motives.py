@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 from .brauer import AlgebraSpec, subgroup_generated, subgroups_equal
 from .errors import ModelMismatchError, PreconditionError
-from .maps import common_degree, equivalent
-from .reduction import GSBFactor, GSBProduct
+from .maps import equivalent
+from .reduction import GSBFactor, GSBProduct, common_degree
 
 
 def _factor_key(f: GSBFactor) -> tuple[int, int, tuple[int, ...]]:

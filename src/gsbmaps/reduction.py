@@ -85,17 +85,20 @@ class GSBProduct:
         return " x ".join(str(f) for f in self.factors)
 
 
-def vp(n: int, p: int) -> int:
-    """p-adic valuation of a positive integer: the largest e with p^e | n."""
-    if p < 2:
-        raise PreconditionError(f"vp needs a base >= 2, got {p}")
-    if n < 1:
-        raise PreconditionError(f"vp needs a positive integer, got {n}")
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
+def common_degree(algebras: Sequence[AlgebraSpec], what: str) -> int:
+    """The degree exponent shared by a nonempty list of algebras.
+
+    Otherwise raises PreconditionError naming the first algebra and the first
+    one whose degree differs from it; what names the operation that needs it.
+    """
+    first = algebras[0]
+    for a in algebras[1:]:
+        if a.degree_exponent != first.degree_exponent:
+            raise PreconditionError(
+                f"{what} needs one common degree: {first} has degree "
+                f"{first.degree}, {a} has degree {a.degree}"
+            )
+    return first.degree_exponent
 
 
 def reduction_term(target: AlgebraSpec, base: GSBProduct, i: Sequence[int]) -> int:
@@ -140,13 +143,7 @@ def reduced_index(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
     """
     if target.model != base.model:
         raise ModelMismatchError("target and base use different group models")
-    s = target.degree_exponent
-    for f in base.factors:
-        if f.algebra.degree_exponent != s:
-            raise PreconditionError(
-                f"index reduction needs one common degree: target {target} has "
-                f"degree {target.degree}, factor {f} has degree {f.algebra.degree}"
-            )
+    s = common_degree([target, *base.algebras()], "index reduction")
     bound = base.prime ** s
     best: int | None = None
     best_tuple: tuple[int, ...] = ()

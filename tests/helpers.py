@@ -109,6 +109,32 @@ def oracle_reduced_index(p, s, orders, target_vec, base):
     return best, best_tup
 
 
+def oracle_valuation(n, p):
+    """Largest e with p^e | n, for a positive n, by repeated division."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+def oracle_balanced_rows(p, s, k, orders, target_vec, family_vecs):
+    """Every balanced relation of target over the family, by full enumeration.
+
+    A tuple i in [1, p^s]^m is returned when sum_j v_p(gcd(i_j, p^k)) equals
+    k(m-1) and target = sum_j i_j family_j in the group table.
+    """
+    m = len(family_vecs)
+    rows = []
+    for row in itertools.product(range(1, p**s + 1), repeat=m):
+        if sum(oracle_valuation(math.gcd(i, p**k), p) for i in row) != k * (m - 1):
+            continue
+        terms = [(target_vec, 1)] + [(vec, -i) for vec, i in zip(family_vecs, row)]
+        if oracle_combine(orders, terms) == table_zero(orders):
+            rows.append(row)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # model builders
 

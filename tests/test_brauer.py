@@ -14,7 +14,6 @@ from gsbmaps import (
     ModelMismatchError,
     PreconditionError,
     Subgroup,
-    UnsupportedModelError,
     class_exponent,
     combine,
     division_algebra,
@@ -175,11 +174,6 @@ class TestExponentAndIndex:
     def test_biquaternion_index(self):
         _, d1, _, _ = biquaternion_model()
         assert generic_index(d1.brauer_class) == 4
-
-    def test_unknown_index_rule(self):
-        m = BrauerGroupModel(2, (2,), index_rule="NOT_A_RULE")
-        with pytest.raises(UnsupportedModelError):
-            generic_index(m.element((1,)))
 
     @settings(max_examples=150, deadline=None)
     @given(model_and_classes())

@@ -345,6 +345,38 @@ class TestExitCodes:
         assert "unknown algebra" in err
 
 
+LONG_INTEGER = "1" + "0" * 5000  # past the default int digit limit of 4300
+BIQ_TEXT = json.dumps(BIQUATERNION_DOC, ensure_ascii=False)
+REDUCE = ["reduced-index", "--target", "Δ1", "--base"]
+
+# id -> (instance file contents, command argv); each input once crashed the
+# CLI with a traceback instead of a parse error
+CRASH_INPUTS = {
+    "non-utf8-file": (b'{"prime": 2, "generators": "\xff"}', ["index", "--algebra", "Δ1"]),
+    "long-json-integer": (
+        BIQ_TEXT.replace('"degree": 4', f'"degree": {LONG_INTEGER}', 1).encode("utf-8"),
+        ["index", "--algebra", "Δ1"],
+    ),
+    "deep-json": (b"[" * 100_000 + b"]" * 100_000, ["index", "--algebra", "Δ1"]),
+    "long-dimension": (BIQ_TEXT.encode("utf-8"), [*REDUCE, f"X({LONG_INTEGER};Δ2)"]),
+    "non-ascii-digit": (BIQ_TEXT.encode("utf-8"), [*REDUCE, "X(²;Δ2)"]),
+}
+
+
+@pytest.mark.parametrize("contents, argv", CRASH_INPUTS.values(), ids=CRASH_INPUTS)
+def test_bad_input_is_parse_error_not_traceback(tmp_path, contents, argv):
+    path = tmp_path / "instance.json"
+    path.write_bytes(contents)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gsbmaps", "-i", str(path), *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 # Runs a list of argv lists through main() in one fresh interpreter, first in
 # the given order and then reversed, and prints (code, stdout, stderr) per call.
 SESSION_SCRIPT = """

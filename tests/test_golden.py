@@ -1,0 +1,75 @@
+"""Golden CLI outputs: every command on both bundled fixtures, text and --json.
+
+Each case's stdout is stored byte for byte in tests/golden/<fixture>/<case>.txt
+(text mode) or .json (--json mode); tests/golden/exit_codes.json holds the
+exit code of every case.  The goldens were recorded once and are never
+rewritten by the suite, so any change to a report's bytes fails here.
+"""
+
+from __future__ import annotations
+
+import json
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from gsbmaps.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# fixture stem -> names of its three algebras
+FIXTURE_ALGEBRAS = {
+    "biquaternion": ("Δ1", "Δ2", "Δ3"),
+    "mixed_exponent": ("D1", "D2", "D3"),
+}
+
+
+def _commands(a1: str, a2: str, a3: str) -> dict[str, list[str]]:
+    """Case name -> command argv, over a fixture's algebras and named varieties."""
+    return {
+        "index": ["index", "--algebra", a1],
+        "exponent": ["exponent", "--algebra", a2],
+        "subgroup": ["subgroup", "--generators", f"{a1},{a2}", "--equals", f"{a1},{a3}"],
+        "reduced-index": ["reduced-index", "--target", a3, "--base", "left"],
+        "rational-map": ["rational-map", "--source", "left", "--target", "right"],
+        "equivalent": ["equivalent", "--left", "left", "--right", "right"],
+        # one k = 0 throughout, so the balanced relation matrices are attached
+        "equivalent-classical": [
+            "equivalent",
+            "--left",
+            f"X(1;{a1}) x X(1;{a2})",
+            "--right",
+            f"X(1;{a1}) x X(1;{a3})",
+        ],
+        "motive-iso": ["motive-iso", "--left", "left", "--right", "right"],
+        "compare-families": [
+            "compare-families",
+            "--left",
+            f"{a1},{a2}",
+            "--right",
+            f"{a1},{a3}",
+        ],
+        "verify-examples": ["verify-examples"],
+    }
+
+
+CASES = [
+    (f"{fixture}/{name}{suffix}", fixture, flags + argv)
+    for fixture, algebras in FIXTURE_ALGEBRAS.items()
+    for name, argv in _commands(*algebras).items()
+    for suffix, flags in ((".txt", []), (".json", ["--json"]))
+]
+
+
+EXIT_CODES = json.loads((GOLDEN_DIR / "exit_codes.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    ("case", "fixture", "argv"), CASES, ids=[case for case, _, _ in CASES]
+)
+def test_matches_golden(case, fixture, argv, capsys):
+    path = resources.files("gsbmaps") / "fixtures" / f"{fixture}.json"
+    code = main(["-i", str(path), *argv])
+    assert code == EXIT_CODES[case]
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN_DIR / case).read_bytes()

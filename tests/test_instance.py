@@ -66,10 +66,12 @@ class TestLoadInstance:
             load_instance(doc)
 
     def test_degree_must_be_prime_power(self):
-        doc = _biquaternion_doc()
-        doc["algebras"]["bad"] = {"class": {"q1": 1}, "degree": 6}
-        with pytest.raises(InstanceFormatError, match="power of the prime"):
-            load_instance(doc)
+        # 0 and -4 stay format errors although vp refuses n < 1 outright
+        for degree in (6, 0, -4):
+            doc = _biquaternion_doc()
+            doc["algebras"]["bad"] = {"class": {"q1": 1}, "degree": degree}
+            with pytest.raises(InstanceFormatError, match="power of the prime"):
+                load_instance(doc)
 
     def test_unknown_generator_named(self):
         doc = _biquaternion_doc()
@@ -203,8 +205,9 @@ class TestVarietyGrammar:
             parse_variety_expression("X(2;Δ9)", inst)
 
     def test_non_prime_power_dimension(self, inst):
-        with pytest.raises(InstanceFormatError, match="power of the prime"):
-            parse_variety_expression("X(3;Δ1)", inst)
+        for text in ("X(3;Δ1)", "X(0;Δ1)"):
+            with pytest.raises(InstanceFormatError, match="power of the prime"):
+                parse_variety_expression(text, inst)
 
     def test_out_of_range_dimension_is_precondition(self, inst):
         # X(4;D) with deg(D)=4 violates the factor range, not the grammar

@@ -25,9 +25,11 @@ from gsbmaps import (
     vp,
 )
 from helpers import (
+    ENUMERATED_MODELS,
     biquaternion_model,
     by_degree,
     mixed_exponent_model,
+    oracle_balanced_rows,
     uniform_product,
 )
 
@@ -231,6 +233,59 @@ class TestMutualRelationWitness:
         _, d1, _, _ = biquaternion_model()
         with pytest.raises(PreconditionError):
             mutual_relation_witness([], [d1], 0)
+
+
+def _smallest_balanced_row(target, family, k):
+    """The oracle's lexicographically smallest balanced relation, or None."""
+    model = target.model
+    rows = oracle_balanced_rows(
+        model.prime,
+        target.degree_exponent,
+        k,
+        model.generator_orders,
+        target.brauer_class.exponents,
+        [a.brauer_class.exponents for a in family],
+    )
+    return min(rows, default=None)
+
+
+def _one_exponent(family):
+    return len({a.exponent for a in family}) == 1
+
+
+@pytest.mark.parametrize("model", ENUMERATED_MODELS, ids=str)
+class TestBalancedRowsAgainstOracle:
+    """Both relation searches against brute force, on every equal-degree case
+    of the model with families of one or two algebras."""
+
+    def test_relation_witness(self, model):
+        for s, algebras in by_degree(model).items():
+            for k, n in itertools.product(range(s), (1, 2)):
+                for family in itertools.product(algebras, repeat=n):
+                    biggest = max(a.exponent for a in family)
+                    for target in algebras:
+                        if target.exponent < biggest:
+                            continue
+                        got = relation_witness(target, uniform_product(family, k))
+                        assert got == _smallest_balanced_row(target, family, k)
+
+    def test_mutual_relation_witness(self, model):
+        for s, algebras in by_degree(model).items():
+            families = [
+                family
+                for n in (1, 2)
+                for family in itertools.combinations_with_replacement(algebras, n)
+                if _one_exponent(family)
+            ]
+            for k, left, right in itertools.product(range(s), families, families):
+                got = mutual_relation_witness(left, right, k)
+                left_rows = [_smallest_balanced_row(d, right, k) for d in left]
+                right_rows = [_smallest_balanced_row(d, left, k) for d in right]
+                if None in left_rows + right_rows:
+                    assert got is None
+                else:
+                    assert got.left_over_right == tuple(left_rows)
+                    assert got.right_over_left == tuple(right_rows)
 
 
 class TestDimension:
