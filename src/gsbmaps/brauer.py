@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -52,6 +53,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _integer(value: object, what: str) -> int:
+    """value as an int, or PreconditionError naming it; floats are refused,
+    not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
+
+
 def vp(n: int, p: int) -> int:
     """p-adic valuation of a positive integer: the largest e with p^e | n."""
     if p < 2:
@@ -84,8 +94,11 @@ class BrauerGroupModel:
     generator_orders: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "prime", _integer(self.prime, "model prime"))
         object.__setattr__(
-            self, "generator_orders", tuple(int(o) for o in self.generator_orders)
+            self,
+            "generator_orders",
+            tuple(_integer(o, "generator order") for o in self.generator_orders),
         )
         if not _is_prime(self.prime):
             raise PreconditionError(f"model prime must be a prime number, got {self.prime}")
@@ -109,7 +122,7 @@ class BrauerGroupModel:
         return n
 
     def zero(self) -> BrauerClass:
-        return BrauerClass(self, (0,) * self.rank)
+        return BrauerClass._reduced(self, (0,) * self.rank)
 
     def element(self, exponents: Sequence[int]) -> BrauerClass:
         return BrauerClass(self, tuple(exponents))
@@ -117,7 +130,7 @@ class BrauerGroupModel:
     def elements(self) -> Iterator[BrauerClass]:
         """All classes of the model, in lexicographic order of exponents."""
         for exps in itertools.product(*(range(o) for o in self.generator_orders)):
-            yield BrauerClass(self, exps)
+            yield BrauerClass._reduced(self, exps)
 
     def __str__(self) -> str:
         return " x ".join(f"Z/{o}" for o in self.generator_orders)
@@ -125,14 +138,18 @@ class BrauerGroupModel:
 
 @dataclass(frozen=True)
 class BrauerClass:
-    """An element of a BrauerGroupModel, as a canonical reduced exponent vector."""
+    """An element of a BrauerGroupModel, as a canonical reduced exponent vector.
+
+    The constructor validates and reduces its exponents; the arithmetic below
+    builds its results through _reduced, which does neither.
+    """
 
     group: BrauerGroupModel
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
         orders = self.group.generator_orders
-        exps = tuple(int(e) for e in self.exponents)
+        exps = tuple(_integer(e, "exponent") for e in self.exponents)
         if len(exps) != len(orders):
             raise PreconditionError(
                 f"expected {len(orders)} exponents, got {len(exps)}"
@@ -141,24 +158,41 @@ class BrauerClass:
             self, "exponents", tuple(e % o for e, o in zip(exps, orders))
         )
 
+    @classmethod
+    def _reduced(
+        cls, group: BrauerGroupModel, exponents: tuple[int, ...]
+    ) -> BrauerClass:
+        # exponents must be a tuple of ints already in [0, order) for group;
+        # the fields of the frozen instance are written directly
+        obj = object.__new__(cls)
+        obj.__dict__.update(group=group, exponents=exponents)
+        return obj
+
     @property
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
     def _same_group(self, other: BrauerClass) -> None:
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise ModelMismatchError("classes belong to different group models")
 
     def __add__(self, other: BrauerClass) -> BrauerClass:
         if not isinstance(other, BrauerClass):
             return NotImplemented
         self._same_group(other)
-        return BrauerClass(
-            self.group, tuple(a + b for a, b in zip(self.exponents, other.exponents))
+        orders = self.group.generator_orders
+        return BrauerClass._reduced(
+            self.group,
+            tuple(
+                (a + b) % o for a, b, o in zip(self.exponents, other.exponents, orders)
+            ),
         )
 
     def __neg__(self) -> BrauerClass:
-        return BrauerClass(self.group, tuple(-e for e in self.exponents))
+        orders = self.group.generator_orders
+        return BrauerClass._reduced(
+            self.group, tuple(-e % o for e, o in zip(self.exponents, orders))
+        )
 
     def __sub__(self, other: BrauerClass) -> BrauerClass:
         if not isinstance(other, BrauerClass):
@@ -169,7 +203,10 @@ class BrauerClass:
         # integer multiple of the class, i.e. the class of the n-th tensor power
         if not isinstance(n, int):
             return NotImplemented
-        return BrauerClass(self.group, tuple(n * e for e in self.exponents))
+        orders = self.group.generator_orders
+        return BrauerClass._reduced(
+            self.group, tuple(n * e % o for e, o in zip(self.exponents, orders))
+        )
 
     __rmul__ = __mul__
 
@@ -181,20 +218,28 @@ def combine(terms: Sequence[tuple[BrauerClass, int]]) -> BrauerClass:
     """Integer combination sum_j c_j * class_j, reduced into the model.
 
     Realizes tensor expressions such as D (x) D_1^{-i_1} (x) ... (x) D_n^{-i_n}
-    as a single class.  Coefficients may be negative or oversized.
+    as a single class.  Coefficients may be negative or oversized, but must
+    be integers.
     """
     if not terms:
         raise PreconditionError("combine needs at least one term")
     group = terms[0][0].group
-    orders = group.generator_orders
-    acc = [0] * len(orders)
+    vectors = []
+    coeffs = []
     for cls, coeff in terms:
-        if cls.group != group:
+        if cls.group is not group and cls.group != group:
             raise ModelMismatchError("combine across different group models")
-        c = int(coeff)
-        for idx, (e, o) in enumerate(zip(cls.exponents, orders)):
-            acc[idx] = (acc[idx] + c * e) % o
-    return BrauerClass(group, tuple(acc))
+        vectors.append(cls.exponents)
+        coeffs.append(_integer(coeff, "combine coefficient"))
+    return BrauerClass._reduced(
+        group,
+        tuple(
+            [
+                sum(map(operator.mul, coeffs, column)) % o
+                for column, o in zip(zip(*vectors), group.generator_orders)
+            ]
+        ),
+    )
 
 
 def class_exponent(c: BrauerClass) -> int:
@@ -231,6 +276,9 @@ class AlgebraSpec:
     label: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "degree_exponent", _integer(self.degree_exponent, "degree exponent")
+        )
         if self.degree_exponent < 0:
             raise PreconditionError("degree exponent must be nonnegative")
         declared = self.prime ** self.degree_exponent

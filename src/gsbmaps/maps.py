@@ -115,11 +115,14 @@ def _balanced_row(
     m = len(family)
     pk = p**k
     budget = k * (m - 1)
-    for row in itertools.product(range(1, p**s + 1), repeat=m):
-        if sum(vp(math.gcd(a, pk), p) for a in row) != budget:
+    entries = range(1, p**s + 1)
+    valuation = {a: vp(math.gcd(a, pk), p) for a in entries}
+    classes = [f.brauer_class for f in family]
+    for row in itertools.product(entries, repeat=m):
+        if sum(map(valuation.__getitem__, row)) != budget:
             continue
         terms = [(d.brauer_class, 1)]
-        terms += [(f.brauer_class, -a) for f, a in zip(family, row)]
+        terms += [(c, -a) for c, a in zip(classes, row)]
         if combine(terms).is_zero:
             return row
     return None

@@ -8,7 +8,9 @@ over the function field of X(p^{k_1};D_1) x ... x X(p^{k_n};D_n) is
         prod_j p^{k_j}/gcd(i_j, p^{k_j}) * ind(D (x) D_1^{-i_1} (x) ... (x) D_n^{-i_n})
 
 computed here by full enumeration, with the lexicographically smallest
-minimizer returned as a witness.
+minimizer returned as a witness.  The inputs are validated once per call;
+each tuple then costs one deficiency-table lookup per factor and one combine
+call, which forms its twisted class.
 """
 
 from __future__ import annotations
@@ -16,9 +18,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .brauer import AlgebraSpec, BrauerGroupModel, combine, generic_index
+from .brauer import (
+    AlgebraSpec,
+    BrauerClass,
+    BrauerGroupModel,
+    _integer,
+    combine,
+    generic_index,
+)
 from .errors import InvariantViolation, ModelMismatchError, PreconditionError
 
 
@@ -30,6 +39,7 @@ class GSBFactor:
     k: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", _integer(self.k, "k"))
         if not 0 <= self.k < self.algebra.degree_exponent:
             raise PreconditionError(
                 f"k={self.k} out of range for an algebra of degree "
@@ -101,6 +111,32 @@ def common_degree(algebras: Sequence[AlgebraSpec], what: str) -> int:
     return first.degree_exponent
 
 
+def _deficiency_tables(
+    base: GSBProduct, entries: Iterable[int]
+) -> list[dict[int, int]]:
+    """Per base factor j, the map i -> p^{k_j}/gcd(i, p^{k_j}) over entries."""
+    p = base.prime
+    return [
+        {i: pk // math.gcd(i, pk) for i in entries}
+        for pk in (p**f.k for f in base.factors)
+    ]
+
+
+def _term(
+    target: BrauerClass,
+    classes: Sequence[BrauerClass],
+    tables: Sequence[dict[int, int]],
+    tup: tuple[int, ...],
+) -> int:
+    # the unchecked core of reduction_term: inputs are validated by the caller
+    deficiency = 1
+    terms = [(target, 1)]
+    for ij, cls, table in zip(tup, classes, tables):
+        deficiency *= table[ij]
+        terms.append((cls, -ij))
+    return deficiency * generic_index(combine(terms))
+
+
 def reduction_term(target: AlgebraSpec, base: GSBProduct, i: Sequence[int]) -> int:
     """Value of one candidate twist in the index-reduction minimum.
 
@@ -110,21 +146,17 @@ def reduction_term(target: AlgebraSpec, base: GSBProduct, i: Sequence[int]) -> i
     """
     if target.model != base.model:
         raise ModelMismatchError("target and base use different group models")
-    tup = tuple(int(x) for x in i)
+    tup = tuple(_integer(x, "tuple entry") for x in i)
     if len(tup) != len(base.factors):
         raise PreconditionError(
             f"tuple length {len(tup)} does not match {len(base.factors)} base factors"
         )
-    p = base.prime
-    deficiency = 1
-    terms = [(target.brauer_class, 1)]
-    for ij, f in zip(tup, base.factors):
+    for ij in tup:
         if ij < 1:
             raise PreconditionError(f"tuple entries must be >= 1, got {ij}")
-        pk = p ** f.k
-        deficiency *= pk // math.gcd(ij, pk)
-        terms.append((f.algebra.brauer_class, -ij))
-    return deficiency * generic_index(combine(terms))
+    tables = _deficiency_tables(base, tup)
+    classes = [a.brauer_class for a in base.algebras()]
+    return _term(target.brauer_class, classes, tables, tup)
 
 
 class ReducedIndex(NamedTuple):
@@ -144,11 +176,14 @@ def reduced_index(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
     if target.model != base.model:
         raise ModelMismatchError("target and base use different group models")
     s = common_degree([target, *base.algebras()], "index reduction")
-    bound = base.prime ** s
+    entries = range(1, base.prime**s + 1)
+    target_class = target.brauer_class
+    classes = [a.brauer_class for a in base.algebras()]
+    tables = _deficiency_tables(base, entries)
     best: int | None = None
     best_tuple: tuple[int, ...] = ()
-    for tup in itertools.product(range(1, bound + 1), repeat=len(base.factors)):
-        value = reduction_term(target, base, tup)
+    for tup in itertools.product(entries, repeat=len(classes)):
+        value = _term(target_class, classes, tables, tup)
         if best is None or value < best:
             best, best_tuple = value, tup
     if best is None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from gsbmaps import (
     AlgebraSpec,
+    BrauerClass,
     BrauerGroupModel,
     ModelMismatchError,
     PreconditionError,
@@ -23,6 +25,7 @@ from gsbmaps import (
 )
 from gsbmaps.brauer import _is_prime
 from helpers import (
+    ENUMERATED_MODELS,
     biquaternion_model,
     mixed_exponent_model,
     oracle_closure,
@@ -157,6 +160,79 @@ class TestCombine:
             m.generator_orders, [(c.exponents, k) for c, k in terms]
         )
         assert out.exponents == oracle
+
+
+class TestArithmeticResults:
+    """combine and the operators build their results without re-validation;
+    the results must still be the canonical classes the constructor gives."""
+
+    @staticmethod
+    def _check(out, orders, terms):
+        want = oracle_combine(orders, [(c.exponents, k) for c, k in terms])
+        assert out.exponents == want
+        assert all(0 <= e < o for e, o in zip(out.exponents, orders))
+        canonical = BrauerClass(out.group, want)
+        assert out == canonical
+        assert hash(out) == hash(canonical)
+
+    def test_match_oracle_on_enumerated_models(self):
+        for m in ENUMERATED_MODELS:
+            orders = m.generator_orders
+            for a, b in itertools.product(m.elements(), repeat=2):
+                self._check(a + b, orders, [(a, 1), (b, 1)])
+                self._check(a - b, orders, [(a, 1), (b, -1)])
+                self._check(-a, orders, [(a, -1)])
+                for c in range(-5, 6):
+                    self._check(combine([(a, c), (b, 1)]), orders, [(a, c), (b, 1)])
+                    self._check(a * c, orders, [(a, c)])
+                    self._check(c * a, orders, [(a, c)])
+
+    def test_equal_but_distinct_models_combine(self):
+        m1 = BrauerGroupModel(2, (4, 2))
+        m2 = BrauerGroupModel(2, (4, 2))
+        assert m1 == m2 and m1 is not m2
+        a, b = m1.element((1, 1)), m2.element((2, 1))
+        assert combine([(a, 1), (b, 1)]).exponents == (3, 0)
+        assert combine([(b, 1), (a, -1)]).exponents == (1, 0)
+        assert (a + b).exponents == (3, 0)
+        assert (b - a).exponents == (1, 0)
+
+    def test_different_models_still_rejected(self):
+        a = BrauerGroupModel(2, (4, 2)).element((1, 1))
+        b = BrauerGroupModel(2, (2, 4)).element((1, 1))
+        with pytest.raises(ModelMismatchError):
+            combine([(a, 1), (b, 1)])
+        with pytest.raises(ModelMismatchError):
+            a + b
+        with pytest.raises(ModelMismatchError):
+            a - b
+
+
+class TestNonIntegerInputs:
+    # these were truncated by int() or accepted, and surfaced deep inside
+    # the code if at all; each is refused where it enters, naming the value
+    def test_combine_coefficient(self):
+        c = BrauerGroupModel(2, (2,)).element((1,))
+        with pytest.raises(PreconditionError, match="1.5"):
+            combine([(c, 1.5)])
+
+    def test_class_exponent(self):
+        m = BrauerGroupModel(2, (2, 2))
+        with pytest.raises(PreconditionError, match="1.7"):
+            m.element((1.7, 0))
+
+    def test_generator_order(self):
+        with pytest.raises(PreconditionError, match="4.0"):
+            BrauerGroupModel(2, (4.0, 2))
+
+    def test_model_prime(self):
+        with pytest.raises(PreconditionError, match="2.0"):
+            BrauerGroupModel(2.0, (4,))
+
+    def test_degree_exponent(self):
+        c = BrauerGroupModel(2, (2,)).element((1,))
+        with pytest.raises(PreconditionError, match="1.0"):
+            AlgebraSpec(c, 1.0)
 
 
 class TestExponentAndIndex:

@@ -257,3 +257,70 @@ class TestReducedIndex:
         base = uniform_product([d1, d2], 1)
         result = reduced_index(d3, base)
         assert reduction_term(d3, base, result.witness) == result.value
+
+
+def _check_against_oracle(model, s, target, factors):
+    # factors: (algebra, k) pairs; the witness must also re-verify through
+    # reduction_term
+    base = GSBProduct(tuple(GSBFactor(a, k) for a, k in factors))
+    got = reduced_index(target, base)
+    want = oracle_reduced_index(
+        model.prime,
+        s,
+        model.generator_orders,
+        target.brauer_class.exponents,
+        [(a.brauer_class.exponents, k) for a, k in factors],
+    )
+    assert (got.value, got.witness) == want
+    assert reduction_term(target, base, got.witness) == got.value
+
+
+class TestReducedIndexBeyondTwoFactorsAndPTwo:
+    @pytest.mark.parametrize(
+        "model", [BrauerGroupModel(3, (3, 3)), BrauerGroupModel(3, (9, 3))], ids=str
+    )
+    def test_p3_one_factor_matches_oracle(self, model):
+        for s, algebras in by_degree(model).items():
+            for target, b in itertools.product(algebras, repeat=2):
+                for k in range(s):
+                    _check_against_oracle(model, s, target, [(b, k)])
+
+    def test_p3_two_factors_match_oracle(self):
+        model = BrauerGroupModel(3, (3, 3))
+        for s, algebras in by_degree(model).items():
+            target = algebras[0]  # one target per degree, as below
+            for b1, b2 in itertools.combinations_with_replacement(algebras, 2):
+                for k1, k2 in itertools.product(range(s), repeat=2):
+                    _check_against_oracle(model, s, target, [(b1, k1), (b2, k2)])
+
+    @pytest.mark.parametrize(
+        "model", [BrauerGroupModel(2, (2, 2, 2)), BrauerGroupModel(2, (4, 2))], ids=str
+    )
+    def test_three_factors_mixed_k_match_oracle(self, model):
+        for s, algebras in by_degree(model).items():
+            if s < 2:
+                continue  # k = 0 is the only choice
+            # every k pattern using min(s, 3) distinct values of k
+            mixed = [
+                ks
+                for ks in itertools.product(range(s), repeat=3)
+                if len(set(ks)) == min(s, 3)
+            ]
+            target = algebras[0]  # one target keeps the test near a second
+            for trio in itertools.combinations_with_replacement(algebras, 3):
+                for ks in mixed:
+                    _check_against_oracle(model, s, target, list(zip(trio, ks)))
+
+
+class TestNonIntegerInputs:
+    # accepted before, or truncated to a different tuple; refused now
+    def test_reduction_term_entry(self):
+        _, d1, _, d3 = biquaternion_model()
+        base = uniform_product([d1], 1)
+        with pytest.raises(PreconditionError, match="1.9"):
+            reduction_term(d3, base, (1.9,))
+
+    def test_factor_k(self):
+        _, d1, _, _ = biquaternion_model()
+        with pytest.raises(PreconditionError, match="0.5"):
+            GSBFactor(d1, 0.5)
