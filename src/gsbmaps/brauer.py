@@ -14,7 +14,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ModelMismatchError, PreconditionError
 
@@ -64,6 +64,8 @@ def _integer(value: object, what: str) -> int:
 
 def vp(n: int, p: int) -> int:
     """p-adic valuation of a positive integer: the largest e with p^e | n."""
+    n = _integer(n, "vp argument")
+    p = _integer(p, "vp base")
     if p < 2:
         raise PreconditionError(f"vp needs a base >= 2, got {p}")
     if n < 1:
@@ -323,29 +325,61 @@ def _class_key(c: BrauerClass) -> tuple[int, ...]:
     return c.exponents
 
 
+def _span(
+    generators: Iterable[tuple[int, ...]],
+    orders: tuple[int, ...],
+    members: set[tuple[int, ...]] | None = None,
+) -> set[tuple[int, ...]]:
+    """Exponent vectors of the subgroup the generators span.
+
+    The span S grows one generator g at a time, by the cosets S + g, S + 2g,
+    ... up to the first multiple of g already in S, so each element costs one
+    addition.  With members given, each new coset must lie in it: a new
+    element is an element of S plus g, both members, so one outside members
+    is a sum of two members that falls outside, and PreconditionError is
+    raised.
+    """
+    zero = (0,) * len(orders)
+    span = {zero}
+    for g in generators:
+        if g in span:
+            continue
+        coset = list(span)
+        multiple = g
+        while multiple not in span:
+            coset = [
+                tuple([(a + b) % o for a, b, o in zip(x, g, orders)]) for x in coset
+            ]
+            if members is not None and not members.issuperset(coset):
+                raise PreconditionError("element set is not closed under addition")
+            span.update(coset)
+            multiple = tuple([(a + b) % o for a, b, o in zip(multiple, g, orders)])
+    return span
+
+
 @dataclass(frozen=True)
 class Subgroup:
     """An enumerated subgroup of a model, canonically sorted.
 
-    Model groups are desk scale, so closure is validated outright.
+    Closure is validated by spanning the set from a greedy generating set,
+    at most log2|H| generators and one addition per element (see _span),
+    so checking costs O(|H|) additions rather than |H|^2.
     """
 
     group: BrauerGroupModel
     elements: tuple[BrauerClass, ...]
 
     def __post_init__(self) -> None:
+        group = self.group
         elems = tuple(sorted(set(self.elements), key=_class_key))
         object.__setattr__(self, "elements", elems)
-        members = set(elems)
         for a in elems:
-            if a.group != self.group:
+            if a.group is not group and a.group != group:
                 raise ModelMismatchError("subgroup elements from a different model")
-        if self.group.zero() not in members:
+        members = {a.exponents for a in elems}
+        if (0,) * group.rank not in members:
             raise PreconditionError("subgroup must contain the zero class")
-        for a in elems:
-            for b in elems:
-                if a + b not in members:
-                    raise PreconditionError("element set is not closed under addition")
+        _span(members, group.generator_orders, members)
 
     def __contains__(self, c: BrauerClass) -> bool:
         return c in set(self.elements)
@@ -369,19 +403,10 @@ def subgroup_generated(
             raise PreconditionError("empty generating set needs an explicit model")
         model = classes[0].group
     for c in classes:
-        if c.group != model:
+        if c.group is not model and c.group != model:
             raise ModelMismatchError("generators from a different group model")
-    zero = model.zero()
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        cur = frontier.pop()
-        for g in classes:
-            nxt = cur + g
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return Subgroup(model, tuple(seen))
+    span = _span([c.exponents for c in classes], model.generator_orders)
+    return Subgroup(model, tuple(BrauerClass._reduced(model, e) for e in span))
 
 
 def subgroups_equal(a: Subgroup, b: Subgroup) -> bool:

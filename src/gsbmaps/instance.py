@@ -103,19 +103,19 @@ def load_instance(doc: Any, source: str = "<instance>") -> Instance:
     generators = _expect(doc, "generators", list, source)
     if not generators:
         raise InstanceFormatError(f"{source}: 'generators' must be nonempty")
-    names: list[str] = []
+    positions: dict[str, int] = {}
     orders: list[int] = []
     for pos, entry in enumerate(generators):
         what = f"{source}: generator #{pos + 1}"
         if not isinstance(entry, dict):
             raise InstanceFormatError(f"{what}: must be an object")
         name = _check_name(entry.get("name"), what)
-        if name in names:
+        if name in positions:
             raise InstanceFormatError(f"{what}: duplicate generator name {name!r}")
         order = entry.get("order")
         if not isinstance(order, int) or isinstance(order, bool):
             raise InstanceFormatError(f"{what} ({name!r}): 'order' must be an integer")
-        names.append(name)
+        positions[name] = pos
         orders.append(order)
     try:
         model = BrauerGroupModel(prime, tuple(orders))
@@ -132,20 +132,21 @@ def load_instance(doc: Any, source: str = "<instance>") -> Instance:
         class_map = _expect(spec, "class", dict, what)
         exponents = [0] * model.rank
         for gen, value in class_map.items():
-            if gen not in names:
+            pos = positions.get(gen)
+            if pos is None:
                 raise InstanceFormatError(f"{what}: unknown generator {gen!r}")
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InstanceFormatError(
                     f"{what}: exponent of {gen!r} must be an integer"
                 )
-            exponents[names.index(gen)] = value
+            exponents[pos] = value % orders[pos]
         degree = _expect(spec, "degree", int, what)
         degree_exponent = _p_power_exponent(degree, prime)
         if degree_exponent is None:
             raise InstanceFormatError(
                 f"{what}: degree {degree} is not a power of the prime {prime}"
             )
-        cls = BrauerClass(model, tuple(exponents))
+        cls = BrauerClass._reduced(model, tuple(exponents))
         try:
             algebras[name] = AlgebraSpec(cls, degree_exponent, label=name)
         except PreconditionError as exc:
@@ -165,7 +166,7 @@ def load_instance(doc: Any, source: str = "<instance>") -> Instance:
 
     instance = Instance(
         model=model,
-        generator_names=tuple(names),
+        generator_names=tuple(positions),
         algebras=algebras,
         aliases=aliases,
         source=source,

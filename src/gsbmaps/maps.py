@@ -19,7 +19,13 @@ from typing import Optional, Sequence
 
 from .brauer import AlgebraSpec, combine, subgroup_generated, subgroups_equal, vp
 from .errors import InvariantViolation, ModelMismatchError, PreconditionError
-from .reduction import GSBFactor, GSBProduct, common_degree, reduced_index
+from .reduction import (
+    GSBFactor,
+    GSBProduct,
+    common_degree,
+    reduced_index,
+    reuses_reduced_index,
+)
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,7 @@ def _direction(source: GSBProduct, target: GSBProduct) -> DirectionReport:
     return DirectionReport(all(w.has_point for w in witnesses), witnesses)
 
 
+@reuses_reduced_index
 def exists_rational_map(source: GSBProduct, target: GSBProduct) -> RationalMapReport:
     """Decide source --> target, testing each target factor over the source."""
     if source.model != target.model:
@@ -77,6 +84,7 @@ def exists_rational_map(source: GSBProduct, target: GSBProduct) -> RationalMapRe
     return RationalMapReport(forward=_direction(source, target))
 
 
+@reuses_reduced_index
 def equivalent(a: GSBProduct, b: GSBProduct) -> RationalMapReport:
     """Decide rational maps in both directions between the two products."""
     if a.model != b.model:

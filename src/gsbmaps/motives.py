@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .brauer import AlgebraSpec, subgroup_generated, subgroups_equal
 from .errors import ModelMismatchError, PreconditionError
 from .maps import equivalent
-from .reduction import GSBFactor, GSBProduct, common_degree
+from .reduction import GSBFactor, GSBProduct, common_degree, reuses_reduced_index
 
 
 def _factor_key(f: GSBFactor) -> tuple[int, int, tuple[int, ...]]:
@@ -147,6 +147,7 @@ def _pair_isomorphic(a: UpperMotiveDescriptor, b: UpperMotiveDescriptor) -> bool
     return motives_isomorphic(a, b)
 
 
+@reuses_reduced_index
 def compare_families(
     left: Sequence[AlgebraSpec], right: Sequence[AlgebraSpec]
 ) -> FamilyComparison:

@@ -11,14 +11,21 @@ computed here by full enumeration, with the lexicographically smallest
 minimizer returned as a witness.  The inputs are validated once per call;
 each tuple then costs one deficiency-table lookup per factor and one combine
 call, which forms its twisted class.
+
+A decision that asks the same question many times runs inside
+reuses_reduced_index: within that one call, reduced_index answers a repeated
+(target, base factors) question from the first answer.  Nothing is kept once
+the outermost such call returns.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .brauer import (
     AlgebraSpec,
@@ -166,13 +173,50 @@ class ReducedIndex(NamedTuple):
     witness: tuple[int, ...]
 
 
+# The answers of the reuses_reduced_index call in progress, or None outside one.
+_MEMO: ContextVar[dict | None] = ContextVar("reduced_index_memo", default=None)
+
+
+def reuses_reduced_index(fn: Callable) -> Callable:
+    """Run fn with one reduced_index memo for the whole call.
+
+    A call nested in another such call shares the outer memo; the outermost
+    call drops it when it returns or raises.
+    """
+
+    @functools.wraps(fn)
+    def scoped(*args, **kwargs):
+        if _MEMO.get() is not None:
+            return fn(*args, **kwargs)
+        token = _MEMO.set({})
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _MEMO.reset(token)
+
+    return scoped
+
+
 def reduced_index(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
     """Index of target over the function field of base.
 
     Requires target and every base algebra to share one degree p^s.  The
     minimum ranges over all tuples in [1, p^s]^n; the witness is the
     lexicographically smallest minimizer, so results are deterministic.
+    Inside reuses_reduced_index a question already answered in the same call
+    is not enumerated again; a call that raised leaves nothing behind.
     """
+    memo = _MEMO.get()
+    if memo is None:
+        return _enumerate(target, base)
+    key = (target, base.factors)
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = _enumerate(target, base)
+    return result
+
+
+def _enumerate(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
     if target.model != base.model:
         raise ModelMismatchError("target and base use different group models")
     s = common_degree([target, *base.algebras()], "index reduction")

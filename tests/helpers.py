@@ -88,6 +88,12 @@ def oracle_closure(orders, gens):
     return frozenset(seen)
 
 
+def oracle_is_closed(orders, vecs):
+    """True iff every pairwise sum of the vectors is again one of them."""
+    members = set(vecs)
+    return all(table_add(orders, a, b) in members for a in members for b in members)
+
+
 def oracle_reduced_index(p, s, orders, target_vec, base):
     """Full enumeration of the index-reduction minimum.
 

@@ -22,6 +22,7 @@ from gsbmaps import (
     generic_index,
     subgroup_generated,
     subgroups_equal,
+    vp,
 )
 from gsbmaps.brauer import _is_prime
 from helpers import (
@@ -32,6 +33,7 @@ from helpers import (
     oracle_combine,
     oracle_exponent,
     oracle_index,
+    oracle_is_closed,
 )
 
 
@@ -234,6 +236,13 @@ class TestNonIntegerInputs:
         with pytest.raises(PreconditionError, match="1.0"):
             AlgebraSpec(c, 1.0)
 
+    @pytest.mark.parametrize(
+        "n,p,shown", [(8.0, 2, "8.0"), (4.5, 2, "4.5"), (12, 2.0, "2.0")]
+    )
+    def test_valuation_arguments(self, n, p, shown):
+        with pytest.raises(PreconditionError, match=shown):
+            vp(n, p)
+
 
 class TestExponentAndIndex:
     def test_zero_class(self):
@@ -353,6 +362,35 @@ class TestSubgroups:
         m = BrauerGroupModel(2, (4,))
         with pytest.raises(PreconditionError):
             Subgroup(m, (m.zero(), m.element((1,))))
+
+    @pytest.mark.parametrize(
+        "model,subgroups",
+        [
+            (BrauerGroupModel(2, (4, 2)), 8),
+            (BrauerGroupModel(2, (2, 2, 2)), 16),
+            (BrauerGroupModel(3, (9,)), 3),
+        ],
+        ids=["Z4xZ2", "Z2^3", "Z9"],
+    )
+    def test_validation_matches_pairwise_oracle_on_every_subset(self, model, subgroups):
+        # every subset of the model: those with zero are accepted exactly
+        # when closed, those without zero fail the zero check first
+        orders = model.generator_orders
+        elements = list(model.elements())
+        accepted = 0
+        for mask in range(1 << len(elements)):
+            subset = [c for j, c in enumerate(elements) if mask >> j & 1]
+            vecs = [c.exponents for c in subset]
+            if model.zero() not in subset:
+                with pytest.raises(PreconditionError, match="zero class"):
+                    Subgroup(model, tuple(subset))
+            elif oracle_is_closed(orders, vecs):
+                assert {c.exponents for c in Subgroup(model, tuple(subset))} == set(vecs)
+                accepted += 1
+            else:
+                with pytest.raises(PreconditionError, match="not closed under addition"):
+                    Subgroup(model, tuple(subset))
+        assert accepted == subgroups
 
     @settings(max_examples=80, deadline=None)
     @given(model_and_classes(count=2))

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gsbmaps.maps
+import gsbmaps.reduction
 from gsbmaps import (
     BrauerGroupModel,
     GSBFactor,
@@ -17,7 +19,10 @@ from gsbmaps import (
     PreconditionError,
     class_exponent,
     combine,
+    compare_families,
     division_algebra,
+    equivalent,
+    exists_rational_map,
     generic_index,
     reduced_index,
     reduction_term,
@@ -29,6 +34,7 @@ from helpers import (
     by_degree,
     mixed_exponent_model,
     oracle_reduced_index,
+    product_of,
     uniform_product,
 )
 
@@ -324,3 +330,74 @@ class TestNonIntegerInputs:
         _, d1, _, _ = biquaternion_model()
         with pytest.raises(PreconditionError, match="0.5"):
             GSBFactor(d1, 0.5)
+
+
+class TestCallScopedReuse:
+    # compare_families, equivalent and exists_rational_map answer a repeated
+    # reduced_index question from the first answer, within that call only
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Lists of the enumeration's combine calls and of the reduced_index
+        questions the decisions ask, filled as they happen."""
+        combines, questions = [], []
+        real_combine = gsbmaps.reduction.combine
+        real_reduced_index = gsbmaps.maps.reduced_index
+
+        def counting_combine(terms):
+            combines.append(terms)
+            return real_combine(terms)
+
+        def recording_reduced_index(target, base):
+            questions.append((target, base))
+            return real_reduced_index(target, base)
+
+        monkeypatch.setattr(gsbmaps.reduction, "combine", counting_combine)
+        monkeypatch.setattr(gsbmaps.maps, "reduced_index", recording_reduced_index)
+        return combines, questions
+
+    def test_families_enumerate_each_distinct_question_once(self, monkeypatch):
+        _, d1, d2, d3 = biquaternion_model()
+        combines, questions = self._record(monkeypatch)
+        compare_families([d1, d2], [d1, d3])
+        distinct = {(target, base.factors): base for target, base in questions}
+        assert len(questions) == 160
+        assert len(distinct) == 30
+        # (p^s)^n tuples, one combine each, per distinct question: p^s = 4
+        assert len(combines) == sum(4 ** len(base) for base in distinct.values())
+        assert len(combines) < sum(4 ** len(base) for _, base in questions)
+
+    def test_nothing_outlives_a_call(self, monkeypatch):
+        m, d1, d2, d3 = biquaternion_model()
+        q = division_algebra(m.element((1, 0, 0)), "Q")
+        combines, _ = self._record(monkeypatch)
+        compare_families([d1, d2], [d1, d3])
+        first = len(combines)
+        assert gsbmaps.reduction._MEMO.get() is None
+        # the first question is answered and kept, the second raises
+        with pytest.raises(PreconditionError, match="one common degree"):
+            equivalent(product_of([d1], [0]), product_of([d1, q], [0, 0]))
+        assert gsbmaps.reduction._MEMO.get() is None
+        for _ in range(2):
+            del combines[:]
+            compare_families([d1, d2], [d1, d3])
+            assert len(combines) == first
+            assert gsbmaps.reduction._MEMO.get() is None
+
+    @pytest.mark.parametrize("build", [biquaternion_model, mixed_exponent_model])
+    def test_repeated_algebra_matches_bare_reduced_index(self, build):
+        _, d1, d2, d3 = build()
+        a = product_of([d1, d1, d2], [0, 1, 1])
+        b = product_of([d3, d2, d3], [1, 0, 0])
+        for rep, pairs in (
+            (equivalent(a, b), ((a, b), (b, a))),
+            (exists_rational_map(a, b), ((a, b),)),
+            (exists_rational_map(b, a), ((b, a),)),
+        ):
+            directions = (rep.forward,) if rep.backward is None else (rep.forward, rep.backward)
+            assert len(directions) == len(pairs)
+            for direction, (source, target) in zip(directions, pairs):
+                for w, f in zip(direction.factors, target.factors, strict=True):
+                    bare = reduced_index(f.algebra, source)
+                    assert (w.index, w.witness) == (bare.value, bare.witness)
+                    assert w.has_point == (f.reduced_dim % bare.value == 0)
