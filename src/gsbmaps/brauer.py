@@ -10,6 +10,7 @@ pure.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -363,7 +364,8 @@ class Subgroup:
 
     Closure is validated by spanning the set from a greedy generating set,
     at most log2|H| generators and one addition per element (see _span),
-    so checking costs O(|H|) additions rather than |H|^2.
+    so checking costs O(|H|) additions rather than |H|^2.  Membership is a
+    binary search over the sorted exponent vectors: O(log |H|) comparisons.
     """
 
     group: BrauerGroupModel
@@ -381,8 +383,11 @@ class Subgroup:
             raise PreconditionError("subgroup must contain the zero class")
         _span(members, group.generator_orders, members)
 
-    def __contains__(self, c: BrauerClass) -> bool:
-        return c in set(self.elements)
+    def __contains__(self, c: object) -> bool:
+        if not isinstance(c, BrauerClass):
+            return False
+        i = bisect.bisect_left(self.elements, c.exponents, key=_class_key)
+        return i < len(self.elements) and self.elements[i] == c
 
     def __iter__(self) -> Iterator[BrauerClass]:
         return iter(self.elements)

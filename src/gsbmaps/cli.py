@@ -1,5 +1,9 @@
 """Command-line front end.
 
+Each command returns its report as the payload that --json prints; main
+prints that payload or the text that _text renders from it alone, so every
+fact in a text report is also in its JSON.
+
 Exit codes: 0 on a successful computation (the boolean answer lives in the
 report, not the exit code), 2 on parse errors, 3 on precondition or
 hypothesis violations, 4 on internal invariant failures, which includes any
@@ -15,7 +19,7 @@ import sys
 from importlib import resources
 from typing import Any, Callable, Sequence
 
-from .brauer import subgroup_generated, subgroups_equal
+from .brauer import Subgroup, subgroup_generated, subgroups_equal
 from .errors import (
     GsbError,
     InstanceFormatError,
@@ -38,8 +42,6 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_INVARIANT = 4
 
-BUNDLED_FIXTURES = ("biquaternion.json", "mixed_exponent.json")
-
 
 def load_bundled_instance(name: str) -> Instance:
     """Load one of the fixtures shipped inside the package."""
@@ -48,24 +50,12 @@ def load_bundled_instance(name: str) -> Instance:
     return load_instance(doc, source=f"bundled:{name}")
 
 
-def _emit(args: argparse.Namespace, payload: dict, text: Sequence[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
-    else:
-        for line in text:
-            print(line)
-
-
 def _require_instance(args: argparse.Namespace) -> Instance:
     if not args.instance:
         raise InstanceFormatError(
             "this command needs an instance file (pass --instance PATH)"
         )
     return parse_instance(args.instance)
-
-
-def _tuple_str(tup: Sequence[int]) -> str:
-    return "(" + ", ".join(map(str, tup)) + ")"
 
 
 def _direction_payload(rep: DirectionReport, source: str, target: str) -> dict:
@@ -85,125 +75,80 @@ def _direction_payload(rep: DirectionReport, source: str, target: str) -> dict:
     }
 
 
-def _direction_text(rep: DirectionReport, source: str, target: str) -> list[str]:
-    lines = [f"{source} --> {target}: {'yes' if rep.exists else 'no'}"]
-    for w in rep.factors:
-        status = "rational point" if w.has_point else "NO rational point"
-        lines.append(
-            f"  {w.factor}: {status} "
-            f"(reduced index {w.index}, tuple {_tuple_str(w.witness)})"
-        )
-    return lines
-
-
-def _cmd_index(args: argparse.Namespace) -> int:
-    inst = _require_instance(args)
-    alg = inst.algebra(args.algebra)
-    payload = {
+def _cmd_index(args: argparse.Namespace) -> dict:
+    alg = _require_instance(args).algebra(args.algebra)
+    return {
         "command": "index",
         "algebra": args.algebra,
         "class": list(alg.brauer_class.exponents),
         "degree": alg.degree,
         "index": alg.index,
     }
-    _emit(args, payload, [f"index of {args.algebra}: {alg.index} (degree {alg.degree})"])
-    return EXIT_OK
 
 
-def _cmd_exponent(args: argparse.Namespace) -> int:
-    inst = _require_instance(args)
-    alg = inst.algebra(args.algebra)
-    payload = {
+def _cmd_exponent(args: argparse.Namespace) -> dict:
+    alg = _require_instance(args).algebra(args.algebra)
+    return {
         "command": "exponent",
         "algebra": args.algebra,
         "class": list(alg.brauer_class.exponents),
         "exponent": alg.exponent,
     }
-    _emit(args, payload, [f"exponent of {args.algebra}: {alg.exponent}"])
-    return EXIT_OK
 
 
-def _cmd_subgroup(args: argparse.Namespace) -> int:
+def _subgroup(inst: Instance, names: str) -> tuple[Subgroup, dict[str, Any]]:
+    gens = [a.brauer_class for a in inst.algebra_list(names)]
+    sub = subgroup_generated(gens, inst.model)
+    elements = [list(c.exponents) for c in sub]
+    return sub, {"generators": names, "order": len(sub), "elements": elements}
+
+
+def _cmd_subgroup(args: argparse.Namespace) -> dict:
     inst = _require_instance(args)
-    gens = inst.algebra_list(args.generators)
-    sub = subgroup_generated([a.brauer_class for a in gens], inst.model)
-    payload: dict[str, Any] = {
-        "command": "subgroup",
-        "generators": args.generators,
-        "order": len(sub),
-        "elements": [list(c.exponents) for c in sub],
-    }
-    text = [
-        f"subgroup generated by {args.generators}: order {len(sub)}",
-        "elements: " + ", ".join(str(c) for c in sub),
-    ]
+    sub, payload = _subgroup(inst, args.generators)
+    payload["command"] = "subgroup"
     if args.equals is not None:
-        other_gens = inst.algebra_list(args.equals)
-        other = subgroup_generated([a.brauer_class for a in other_gens], inst.model)
-        equal = subgroups_equal(sub, other)
-        payload["equals"] = {
-            "generators": args.equals,
-            "order": len(other),
-            "elements": [list(c.exponents) for c in other],
-            "equal": equal,
-        }
-        text.append(
-            f"equal to subgroup generated by {args.equals}: "
-            f"{'yes' if equal else 'no'}"
-        )
-    _emit(args, payload, text)
-    return EXIT_OK
+        other, payload["equals"] = _subgroup(inst, args.equals)
+        payload["equals"]["equal"] = subgroups_equal(sub, other)
+    return payload
 
 
-def _cmd_reduced_index(args: argparse.Namespace) -> int:
+def _cmd_reduced_index(args: argparse.Namespace) -> dict:
     inst = _require_instance(args)
     target = inst.algebra(args.target)
     base = inst.product(args.base)
     result = reduced_index(target, base)
-    payload = {
+    return {
         "command": "reduced-index",
         "target": args.target,
         "base": str(base),
         "index": result.value,
         "witness": list(result.witness),
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"reduced index of {args.target} over F({base}): {result.value}",
-            f"minimizing tuple: {_tuple_str(result.witness)}",
-        ],
-    )
-    return EXIT_OK
 
 
-def _cmd_rational_map(args: argparse.Namespace) -> int:
+def _cmd_rational_map(args: argparse.Namespace) -> dict:
     inst = _require_instance(args)
     source = inst.product(args.source)
     target = inst.product(args.target)
     rep = exists_rational_map(source, target)
-    payload = {
+    return {
         "command": "rational-map",
         "source": str(source),
         "target": str(target),
         "exists": rep.forward.exists,
         "forward": _direction_payload(rep.forward, str(source), str(target)),
     }
-    text = [f"rational map exists: {'yes' if rep.forward.exists else 'no'}"]
-    text += _direction_text(rep.forward, str(source), str(target))
-    _emit(args, payload, text)
-    return EXIT_OK
 
 
-def _cmd_equivalent(args: argparse.Namespace) -> int:
+def _cmd_equivalent(args: argparse.Namespace) -> dict:
     inst = _require_instance(args)
     left = inst.product(args.left)
     right = inst.product(args.right)
     rep = equivalent(left, right)
     if rep.backward is None:
         raise InvariantViolation("equivalent returned no backward direction")
-    payload = {
+    payload: dict[str, Any] = {
         "command": "equivalent",
         "left": str(left),
         "right": str(right),
@@ -211,31 +156,16 @@ def _cmd_equivalent(args: argparse.Namespace) -> int:
         "forward": _direction_payload(rep.forward, str(left), str(right)),
         "backward": _direction_payload(rep.backward, str(right), str(left)),
     }
-    text = [f"equivalent: {'true' if rep.holds else 'false'}"]
-    text += ["forward  " + line for line in _direction_text(rep.forward, str(left), str(right))]
-    text += ["backward " + line for line in _direction_text(rep.backward, str(right), str(left))]
     refuting = [w for w in rep.forward.factors + rep.backward.factors if not w.has_point]
     if refuting:
-        text.append(f"refuting factor: {refuting[0].factor}")
         payload["refuting_factor"] = str(refuting[0].factor)
     applicable, relation = _relations_if_applicable(left, right)
     if applicable:
-        if relation is None:
-            payload["relations"] = None
-            text.append("balanced relations: none exist")
-        else:
-            payload["relations"] = {
-                "left_over_right": [list(r) for r in relation.left_over_right],
-                "right_over_left": [list(r) for r in relation.right_over_left],
-            }
-            text.append("balanced relations:")
-            for label, rows in (
-                ("left over right", relation.left_over_right),
-                ("right over left", relation.right_over_left),
-            ):
-                text += [f"  {label}: {_tuple_str(r)}" for r in rows]
-    _emit(args, payload, text)
-    return EXIT_OK
+        payload["relations"] = None if relation is None else {
+            "left_over_right": [list(r) for r in relation.left_over_right],
+            "right_over_left": [list(r) for r in relation.right_over_left],
+        }
+    return payload
 
 
 def _relations_if_applicable(left: GSBProduct, right: GSBProduct):
@@ -257,35 +187,22 @@ def _relations_if_applicable(left: GSBProduct, right: GSBProduct):
     return True, relation
 
 
-def _cmd_motive_iso(args: argparse.Namespace) -> int:
+def _cmd_motive_iso(args: argparse.Namespace) -> dict:
     inst = _require_instance(args)
     left = upper_motive(inst.product(args.left))
     right = upper_motive(inst.product(args.right))
-    iso = motives_isomorphic(left, right)
-    payload = {
+    return {
         "command": "motive-iso",
         "left": str(left),
         "right": str(right),
-        "isomorphic": iso,
+        "isomorphic": motives_isomorphic(left, right),
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"left motive:  {left}",
-            f"right motive: {right}",
-            f"isomorphic: {'true' if iso else 'false'}",
-        ],
-    )
-    return EXIT_OK
 
 
-def _cmd_compare_families(args: argparse.Namespace) -> int:
+def _cmd_compare_families(args: argparse.Namespace) -> dict:
     inst = _require_instance(args)
-    left = inst.algebra_list(args.left)
-    right = inst.algebra_list(args.right)
-    comp = compare_families(left, right)
-    payload = {
+    comp = compare_families(inst.algebra_list(args.left), inst.algebra_list(args.right))
+    return {
         "command": "compare-families",
         "left": args.left,
         "right": args.right,
@@ -295,20 +212,6 @@ def _cmd_compare_families(args: argparse.Namespace) -> int:
         "unmatched_right": [str(d) for d in comp.unmatched_right],
         "separating": str(comp.separating) if comp.separating else None,
     }
-    text = [f"verdict: {comp.verdict.value}"]
-    if comp.shared:
-        text.append("shared motives:")
-        text += [f"  {a}  ~  {b}" for a, b in comp.shared]
-    if comp.unmatched_left:
-        text.append("left motives with no partner:")
-        text += [f"  {d}" for d in comp.unmatched_left]
-    if comp.unmatched_right:
-        text.append("right motives with no partner:")
-        text += [f"  {d}" for d in comp.unmatched_right]
-    if comp.separating is not None:
-        text.append(f"separating witness: {comp.separating}")
-    _emit(args, payload, text)
-    return EXIT_OK
 
 
 def _expects_precondition(thunk: Callable[[], Any]) -> bool:
@@ -380,14 +283,12 @@ def _mixed_exponent_claims(inst: Instance) -> list[tuple[str, Callable[[], bool]
     ]
 
 
-def _cmd_verify_examples(args: argparse.Namespace) -> int:
+def _cmd_verify_examples(args: argparse.Namespace) -> dict:
     fixtures = [
         ("biquaternion.json", _biquaternion_claims),
         ("mixed_exponent.json", _mixed_exponent_claims),
     ]
-    all_ok = True
     report = []
-    text = []
     for name, claim_builder in fixtures:
         inst = load_bundled_instance(name)
         claims = []
@@ -398,13 +299,98 @@ def _cmd_verify_examples(args: argparse.Namespace) -> int:
                 ok = False
                 description = f"{description} (error: {exc})"
             claims.append({"claim": description, "pass": ok})
-            all_ok = all_ok and ok
-            text.append(f"{'PASS' if ok else 'FAIL'}  [{name}] {description}")
         report.append({"fixture": name, "claims": claims})
-    payload = {"command": "verify-examples", "fixtures": report, "pass": all_ok}
-    text.append(f"verify-examples: {'all claims hold' if all_ok else 'MISMATCH'}")
-    _emit(args, payload, text)
-    return EXIT_OK if all_ok else EXIT_INVARIANT
+    all_ok = all(c["pass"] for f in report for c in f["claims"])
+    return {"command": "verify-examples", "fixtures": report, "pass": all_ok}
+
+
+def _tuple_str(tup: Sequence[int]) -> str:
+    return "(" + ", ".join(map(str, tup)) + ")"
+
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _direction_text(d: dict) -> list[str]:
+    lines = [f"{d['source']} --> {d['target']}: {_yes(d['exists'])}"]
+    for w in d["factors"]:
+        status = "rational point" if w["has_point"] else "NO rational point"
+        lines.append(
+            f"  {w['factor']}: {status} "
+            f"(reduced index {w['index']}, tuple {_tuple_str(w['witness'])})"
+        )
+    return lines
+
+
+def _text(payload: dict) -> list[str]:
+    """The text report of a command, rendered from its --json payload alone."""
+    p = payload
+    match p["command"]:
+        case "index":
+            return [f"index of {p['algebra']}: {p['index']} (degree {p['degree']})"]
+        case "exponent":
+            return [f"exponent of {p['algebra']}: {p['exponent']}"]
+        case "subgroup":
+            lines = [
+                f"subgroup generated by {p['generators']}: order {p['order']}",
+                "elements: "
+                + ", ".join("(" + ",".join(map(str, e)) + ")" for e in p["elements"]),
+            ]
+            if "equals" in p:
+                lines.append(
+                    f"equal to subgroup generated by {p['equals']['generators']}: "
+                    f"{_yes(p['equals']['equal'])}"
+                )
+            return lines
+        case "reduced-index":
+            return [
+                f"reduced index of {p['target']} over F({p['base']}): {p['index']}",
+                f"minimizing tuple: {_tuple_str(p['witness'])}",
+            ]
+        case "rational-map":
+            lines = [f"rational map exists: {_yes(p['exists'])}"]
+            return lines + _direction_text(p["forward"])
+        case "equivalent":
+            lines = [f"equivalent: {'true' if p['equivalent'] else 'false'}"]
+            lines += ["forward  " + line for line in _direction_text(p["forward"])]
+            lines += ["backward " + line for line in _direction_text(p["backward"])]
+            if "refuting_factor" in p:
+                lines.append(f"refuting factor: {p['refuting_factor']}")
+            if "relations" in p and p["relations"] is None:
+                lines.append("balanced relations: none exist")
+            elif "relations" in p:
+                lines.append("balanced relations:")
+                for key in ("left_over_right", "right_over_left"):
+                    label = key.replace("_", " ")
+                    lines += [f"  {label}: {_tuple_str(r)}" for r in p["relations"][key]]
+            return lines
+        case "motive-iso":
+            return [
+                f"left motive:  {p['left']}",
+                f"right motive: {p['right']}",
+                f"isomorphic: {'true' if p['isomorphic'] else 'false'}",
+            ]
+        case "compare-families":
+            lines = [f"verdict: {p['verdict']}"]
+            if p["shared"]:
+                lines.append("shared motives:")
+                lines += [f"  {a}  ~  {b}" for a, b in p["shared"]]
+            for side in ("left", "right"):
+                if p[f"unmatched_{side}"]:
+                    lines.append(f"{side} motives with no partner:")
+                    lines += [f"  {d}" for d in p[f"unmatched_{side}"]]
+            if p["separating"] is not None:
+                lines.append(f"separating witness: {p['separating']}")
+            return lines
+        case "verify-examples":
+            verdict = "all claims hold" if p["pass"] else "MISMATCH"
+            return [
+                f"{'PASS' if c['pass'] else 'FAIL'}  [{f['fixture']}] {c['claim']}"
+                for f in p["fixtures"]
+                for c in f["claims"]
+            ] + [f"verify-examples: {verdict}"]
+    raise InvariantViolation(f"no text rendering for command {p['command']!r}")
 
 
 @functools.cache
@@ -484,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload = args.func(args)
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -495,6 +481,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         # precondition, hypothesis, model-mismatch and unsupported-model errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
+    else:
+        print("\n".join(_text(payload)))
+    # verify-examples reports a mismatch as "pass": false
+    return EXIT_INVARIANT if payload.get("pass") is False else EXIT_OK
 
 
 if __name__ == "__main__":

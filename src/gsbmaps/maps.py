@@ -81,6 +81,7 @@ def exists_rational_map(source: GSBProduct, target: GSBProduct) -> RationalMapRe
     """Decide source --> target, testing each target factor over the source."""
     if source.model != target.model:
         raise ModelMismatchError("source and target use different group models")
+    common_degree([*source.algebras(), *target.algebras()], "index reduction")
     return RationalMapReport(forward=_direction(source, target))
 
 
@@ -89,6 +90,7 @@ def equivalent(a: GSBProduct, b: GSBProduct) -> RationalMapReport:
     """Decide rational maps in both directions between the two products."""
     if a.model != b.model:
         raise ModelMismatchError("products use different group models")
+    common_degree([*a.algebras(), *b.algebras()], "index reduction")
     return RationalMapReport(forward=_direction(a, b), backward=_direction(b, a))
 
 

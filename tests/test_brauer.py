@@ -392,6 +392,26 @@ class TestSubgroups:
                     Subgroup(model, tuple(subset))
         assert accepted == subgroups
 
+    @pytest.mark.parametrize("model", ENUMERATED_MODELS, ids=str)
+    def test_membership_matches_brute_force(self, model):
+        # every subgroup generated by at most two classes, against its
+        # closure oracle, for every class of the model
+        orders = model.generator_orders
+        elements = list(model.elements())
+        for n in range(3):
+            for gens in itertools.combinations(elements, n):
+                sub = subgroup_generated(list(gens), model)
+                closure = oracle_closure(orders, [g.exponents for g in gens])
+                for c in elements:
+                    assert (c in sub) == (c.exponents in closure)
+
+    def test_membership_of_foreign_objects(self):
+        sub = subgroup_generated([], BrauerGroupModel(2, (2, 2)))
+        assert BrauerGroupModel(2, (2, 2)).zero() in sub  # equal, distinct model
+        assert BrauerGroupModel(2, (4, 2)).zero() not in sub
+        assert BrauerGroupModel(2, (2,)).zero() not in sub
+        assert (0, 0) not in sub
+
     @settings(max_examples=80, deadline=None)
     @given(model_and_classes(count=2))
     def test_generation_idempotent(self, mc):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from gsbmaps.cli import main
+from gsbmaps.cli import _text, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -73,3 +73,15 @@ def test_matches_golden(case, fixture, argv, capsys):
     code = main(["-i", str(path), *argv])
     assert code == EXIT_CODES[case]
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN_DIR / case).read_bytes()
+
+
+PAIRS = sorted({case.rsplit(".", 1)[0] for case, _, _ in CASES})
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_text_renders_json(pair):
+    # every fact of a text report is in its JSON: the text golden is the
+    # rendering of the JSON golden, plus the newline print ends it with
+    payload = json.loads((GOLDEN_DIR / f"{pair}.json").read_text(encoding="utf-8"))
+    text = (GOLDEN_DIR / f"{pair}.txt").read_text(encoding="utf-8")
+    assert "\n".join(_text(payload)) + "\n" == text

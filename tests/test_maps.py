@@ -107,6 +107,28 @@ class TestEquivalent:
         assert equivalent(x, x).holds
 
 
+class TestMixedDegrees:
+    def test_refused_before_any_enumeration(self, monkeypatch):
+        import gsbmaps.reduction
+
+        def enumerate_(*args):
+            pytest.fail("reduced_index enumerated a mixed-degree question")
+
+        monkeypatch.setattr(gsbmaps.reduction, "_enumerate", enumerate_)
+        m = BrauerGroupModel(2, (4, 2))
+        a = division_algebra(m.element((1, 0)), "A")
+        b = division_algebra(m.element((0, 1)), "B")
+        single = uniform_product([a], 1)
+        mixed = uniform_product([a, b], 0)
+        for decide in (exists_rational_map, equivalent):
+            for x, y in ((single, mixed), (mixed, single)):
+                with pytest.raises(PreconditionError) as exc:
+                    decide(x, y)
+                message = str(exc.value)
+                assert message.startswith("index reduction needs one common degree")
+                assert "A has degree 4, B has degree 2" in message
+
+
 class TestClassicalCriterion:
     def test_examples(self):
         _, a1, a2, a3 = biquaternion_model()
