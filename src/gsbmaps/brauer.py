@@ -143,8 +143,9 @@ class BrauerGroupModel:
 class BrauerClass:
     """An element of a BrauerGroupModel, as a canonical reduced exponent vector.
 
-    The constructor validates and reduces its exponents; the arithmetic below
-    builds its results through _reduced, which does neither.
+    The constructor validates and reduces its exponents.  The operators +, -
+    and * are combine, which builds its result through _reduced, doing
+    neither.
     """
 
     group: BrauerGroupModel
@@ -175,41 +176,24 @@ class BrauerClass:
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    def _same_group(self, other: BrauerClass) -> None:
-        if self.group is not other.group and self.group != other.group:
-            raise ModelMismatchError("classes belong to different group models")
-
     def __add__(self, other: BrauerClass) -> BrauerClass:
         if not isinstance(other, BrauerClass):
             return NotImplemented
-        self._same_group(other)
-        orders = self.group.generator_orders
-        return BrauerClass._reduced(
-            self.group,
-            tuple(
-                (a + b) % o for a, b, o in zip(self.exponents, other.exponents, orders)
-            ),
-        )
+        return combine([(self, 1), (other, 1)])
 
     def __neg__(self) -> BrauerClass:
-        orders = self.group.generator_orders
-        return BrauerClass._reduced(
-            self.group, tuple(-e % o for e, o in zip(self.exponents, orders))
-        )
+        return combine([(self, -1)])
 
     def __sub__(self, other: BrauerClass) -> BrauerClass:
         if not isinstance(other, BrauerClass):
             return NotImplemented
-        return self + (-other)
+        return combine([(self, 1), (other, -1)])
 
     def __mul__(self, n: int) -> BrauerClass:
         # integer multiple of the class, i.e. the class of the n-th tensor power
         if not isinstance(n, int):
             return NotImplemented
-        orders = self.group.generator_orders
-        return BrauerClass._reduced(
-            self.group, tuple(n * e % o for e, o in zip(self.exponents, orders))
-        )
+        return combine([(self, n)])
 
     __rmul__ = __mul__
 
@@ -217,12 +201,33 @@ class BrauerClass:
         return "(" + ",".join(map(str, self.exponents)) + ")"
 
 
+def same_model(models: Iterable[BrauerGroupModel], what: str) -> BrauerGroupModel:
+    """The one model shared by all of models, compared with is before ==.
+
+    Everything combined in this package lives in one model; this is the only
+    place that rule is checked.  A second model raises ModelMismatchError
+    naming both, with what naming the operands ("families", "subgroups").
+    """
+    models = iter(models)
+    first = next(models, None)
+    if first is None:
+        raise PreconditionError(f"{what}: none given")
+    for other in models:
+        if other is not first and other != first:
+            raise ModelMismatchError(
+                f"{what} use different group models: {first} and {other}"
+            )
+    return first
+
+
 def combine(terms: Sequence[tuple[BrauerClass, int]]) -> BrauerClass:
     """Integer combination sum_j c_j * class_j, reduced into the model.
 
     Realizes tensor expressions such as D (x) D_1^{-i_1} (x) ... (x) D_n^{-i_n}
-    as a single class.  Coefficients may be negative or oversized, but must
-    be integers.
+    as a single class; the class operators +, - and * are calls to it.
+    Coefficients may be negative or oversized, but must be integers.  All
+    classes must share one model: a term whose model is not identical to the
+    first term's goes through same_model.
     """
     if not terms:
         raise PreconditionError("combine needs at least one term")
@@ -230,8 +235,8 @@ def combine(terms: Sequence[tuple[BrauerClass, int]]) -> BrauerClass:
     vectors = []
     coeffs = []
     for cls, coeff in terms:
-        if cls.group is not group and cls.group != group:
-            raise ModelMismatchError("combine across different group models")
+        if cls.group is not group:
+            same_model([group, cls.group], "combine terms")
         vectors.append(cls.exponents)
         coeffs.append(_integer(coeff, "combine coefficient"))
     return BrauerClass._reduced(
@@ -375,9 +380,7 @@ class Subgroup:
         group = self.group
         elems = tuple(sorted(set(self.elements), key=_class_key))
         object.__setattr__(self, "elements", elems)
-        for a in elems:
-            if a.group is not group and a.group != group:
-                raise ModelMismatchError("subgroup elements from a different model")
+        same_model([group, *(a.group for a in elems)], "subgroup elements")
         members = {a.exponents for a in elems}
         if (0,) * group.rank not in members:
             raise PreconditionError("subgroup must contain the zero class")
@@ -407,15 +410,12 @@ def subgroup_generated(
         if not classes:
             raise PreconditionError("empty generating set needs an explicit model")
         model = classes[0].group
-    for c in classes:
-        if c.group is not model and c.group != model:
-            raise ModelMismatchError("generators from a different group model")
+    same_model([model, *(c.group for c in classes)], "generators")
     span = _span([c.exponents for c in classes], model.generator_orders)
     return Subgroup(model, tuple(BrauerClass._reduced(model, e) for e in span))
 
 
 def subgroups_equal(a: Subgroup, b: Subgroup) -> bool:
     """True iff the two canonical element sets coincide."""
-    if a.group != b.group:
-        raise ModelMismatchError("subgroups of different group models")
+    same_model([a.group, b.group], "subgroups")
     return a.elements == b.elements

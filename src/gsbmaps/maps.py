@@ -17,8 +17,15 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .brauer import AlgebraSpec, combine, subgroup_generated, subgroups_equal, vp
-from .errors import InvariantViolation, ModelMismatchError, PreconditionError
+from .brauer import (
+    AlgebraSpec,
+    combine,
+    same_model,
+    subgroup_generated,
+    subgroups_equal,
+    vp,
+)
+from .errors import InvariantViolation, PreconditionError
 from .reduction import (
     GSBFactor,
     GSBProduct,
@@ -79,8 +86,7 @@ def _direction(source: GSBProduct, target: GSBProduct) -> DirectionReport:
 @reuses_reduced_index
 def exists_rational_map(source: GSBProduct, target: GSBProduct) -> RationalMapReport:
     """Decide source --> target, testing each target factor over the source."""
-    if source.model != target.model:
-        raise ModelMismatchError("source and target use different group models")
+    same_model([source.model, target.model], "source and target")
     common_degree([*source.algebras(), *target.algebras()], "index reduction")
     return RationalMapReport(forward=_direction(source, target))
 
@@ -88,8 +94,7 @@ def exists_rational_map(source: GSBProduct, target: GSBProduct) -> RationalMapRe
 @reuses_reduced_index
 def equivalent(a: GSBProduct, b: GSBProduct) -> RationalMapReport:
     """Decide rational maps in both directions between the two products."""
-    if a.model != b.model:
-        raise ModelMismatchError("products use different group models")
+    same_model([a.model, b.model], "products")
     common_degree([*a.algebras(), *b.algebras()], "index reduction")
     return RationalMapReport(forward=_direction(a, b), backward=_direction(b, a))
 
@@ -104,10 +109,7 @@ def classical_criterion(
     algebras = list(left) + list(right)
     if not algebras:
         raise PreconditionError("both families are empty")
-    model = algebras[0].model
-    for a in algebras:
-        if a.model != model:
-            raise ModelMismatchError("families use different group models")
+    model = same_model([a.model for a in algebras], "families")
     lhs = subgroup_generated([a.brauer_class for a in left], model)
     rhs = subgroup_generated([a.brauer_class for a in right], model)
     return subgroups_equal(lhs, rhs)
@@ -198,13 +200,9 @@ def mutual_relation_witness(
     right = tuple(right)
     if not left or not right:
         raise PreconditionError("families must be nonempty")
-    model = left[0].model
-    for a in (*left, *right):
-        if a.model != model:
-            raise ModelMismatchError("families use different group models")
+    same_model([a.model for a in (*left, *right)], "families")
     s = common_degree([*left, *right], "criterion")
-    if not 0 <= k < s:
-        raise PreconditionError(f"k={k} out of range (need 0 <= k < {s})")
+    k = GSBFactor(left[0], k).k
     for name, family in (("left", left), ("right", right)):
         exps = {a.exponent for a in family}
         if len(exps) != 1:

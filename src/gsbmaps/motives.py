@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .brauer import AlgebraSpec, subgroup_generated, subgroups_equal
-from .errors import ModelMismatchError, PreconditionError
+from .brauer import AlgebraSpec, same_model, subgroup_generated, subgroups_equal
+from .errors import PreconditionError
 from .maps import equivalent
 from .reduction import GSBFactor, GSBProduct, common_degree, reuses_reduced_index
 
@@ -38,10 +38,7 @@ class UpperMotiveDescriptor:
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise PreconditionError("a motive descriptor needs at least one factor")
-        model = factors[0].model
-        for f in factors[1:]:
-            if f.model != model:
-                raise ModelMismatchError("descriptor factors from different models")
+        same_model([f.model for f in factors], "descriptor factors")
 
     @property
     def model(self):
@@ -71,14 +68,9 @@ def classify_single(d: AlgebraSpec, k: int, d2: AlgebraSpec, k2: int) -> bool:
 
     Must agree with motives_isomorphic on the corresponding descriptors.
     """
-    for alg, kk in ((d, k), (d2, k2)):
-        if not 0 <= kk < alg.degree_exponent:
-            raise PreconditionError(
-                f"k={kk} out of range for degree {alg.degree} "
-                f"(need 0 <= k < {alg.degree_exponent})"
-            )
-    if d.model != d2.model:
-        raise ModelMismatchError("algebras use different group models")
+    k = GSBFactor(d, k).k
+    k2 = GSBFactor(d2, k2).k
+    same_model([d.model, d2.model], "algebras")
     return k == k2 and subgroups_equal(
         subgroup_generated([d.brauer_class]),
         subgroup_generated([d2.brauer_class]),
@@ -121,10 +113,7 @@ def family_motives(
     algebras = tuple(algebras)
     if not algebras:
         raise PreconditionError("a family needs at least one algebra")
-    model = algebras[0].model
-    for a in algebras[1:]:
-        if a.model != model:
-            raise ModelMismatchError("family algebras use different group models")
+    same_model([a.model for a in algebras], "family algebras")
     found = set()
     n = len(algebras)
     for size in range(1, n + 1):
@@ -157,17 +146,17 @@ def compare_families(
     TATE_ONLY means no pair is isomorphic, PARTIAL means some but not all,
     with the unmatched descriptors reported as separating witnesses.
 
-    A family of two or more algebras has multi-factor motives, which compare
-    through index reduction and so need one common degree on both sides;
-    that is checked here, before any descriptor is built.  Two single
-    algebras of different degrees compare through the subgroup fast path.
+    Both families must share one model, and a family of two or more
+    algebras has multi-factor motives, which compare through index reduction
+    and so need one common degree on both sides; both are checked here, in
+    that order, before any descriptor is built.  Two single algebras of
+    different degrees compare through the subgroup fast path.
     """
+    same_model([a.model for a in (*left, *right)], "families")
     if len(left) > 1 or len(right) > 1:
         common_degree([*left, *right], "comparing families of two or more algebras")
     l_motives = family_motives(left)
     r_motives = family_motives(right)
-    if l_motives[0].model != r_motives[0].model:
-        raise ModelMismatchError("families use different group models")
     shared = []
     matched_left = set()
     matched_right = set()

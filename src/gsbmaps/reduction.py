@@ -34,13 +34,20 @@ from .brauer import (
     _integer,
     combine,
     generic_index,
+    same_model,
 )
-from .errors import InvariantViolation, ModelMismatchError, PreconditionError
+from .errors import InvariantViolation, PreconditionError
 
 
 @dataclass(frozen=True)
 class GSBFactor:
-    """X(p^k; D): right ideals of reduced dimension p^k in a division algebra D."""
+    """X(p^k; D): right ideals of reduced dimension p^k in a division algebra D.
+
+    The constructor is the one home of the rule on k: an integer with
+    0 <= k < s for D of degree p^s, otherwise PreconditionError naming k.
+    Functions that take a bare k (classify_single, mutual_relation_witness)
+    check it by building a GSBFactor.
+    """
 
     algebra: AlgebraSpec
     k: int
@@ -79,10 +86,7 @@ class GSBProduct:
         object.__setattr__(self, "factors", tuple(self.factors))
         if not self.factors:
             raise PreconditionError("a product needs at least one factor")
-        model = self.factors[0].model
-        for f in self.factors[1:]:
-            if f.model != model:
-                raise ModelMismatchError("factors from different group models")
+        same_model([f.model for f in self.factors], "factors")
 
     @property
     def model(self) -> BrauerGroupModel:
@@ -151,8 +155,7 @@ def reduction_term(target: AlgebraSpec, base: GSBProduct, i: Sequence[int]) -> i
     deficiency factor prod_j p^{k_j}/gcd(i_j, p^{k_j}) times the model index
     of the twisted class.
     """
-    if target.model != base.model:
-        raise ModelMismatchError("target and base use different group models")
+    same_model([target.model, base.model], "target and base")
     tup = tuple(_integer(x, "tuple entry") for x in i)
     if len(tup) != len(base.factors):
         raise PreconditionError(
@@ -217,8 +220,7 @@ def reduced_index(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
 
 
 def _enumerate(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
-    if target.model != base.model:
-        raise ModelMismatchError("target and base use different group models")
+    same_model([target.model, base.model], "target and base")
     s = common_degree([target, *base.algebras()], "index reduction")
     entries = range(1, base.prime**s + 1)
     target_class = target.brauer_class

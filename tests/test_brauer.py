@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gsbmaps as g
 from gsbmaps import (
     AlgebraSpec,
     BrauerClass,
@@ -208,6 +209,48 @@ class TestArithmeticResults:
             a + b
         with pytest.raises(ModelMismatchError):
             a - b
+
+
+def _one(d):
+    return g.GSBProduct((g.GSBFactor(d, 1),))
+
+
+# every public entry point that combines operands, each called with one
+# operand from (Z/2)^3 and one from Z/4 x Z/2 x Z/2
+MIXED_MODEL_CALLS = {
+    "combine": lambda b, x: combine([(b.brauer_class, 1), (x.brauer_class, 1)]),
+    "BrauerClass.__add__": lambda b, x: b.brauer_class + x.brauer_class,
+    "BrauerClass.__sub__": lambda b, x: b.brauer_class - x.brauer_class,
+    "Subgroup": lambda b, x: Subgroup(b.model, (b.model.zero(), x.model.zero())),
+    "subgroup_generated": lambda b, x: subgroup_generated(
+        [b.brauer_class, x.brauer_class]
+    ),
+    "subgroups_equal": lambda b, x: subgroups_equal(
+        subgroup_generated([b.brauer_class]), subgroup_generated([x.brauer_class])
+    ),
+    "GSBProduct": lambda b, x: g.GSBProduct((g.GSBFactor(b, 1), g.GSBFactor(x, 1))),
+    "reduction_term": lambda b, x: g.reduction_term(b, _one(x), (1,)),
+    "reduced_index": lambda b, x: g.reduced_index(b, _one(x)),
+    "exists_rational_map": lambda b, x: g.exists_rational_map(_one(b), _one(x)),
+    "equivalent": lambda b, x: g.equivalent(_one(b), _one(x)),
+    "classical_criterion": lambda b, x: g.classical_criterion([b], [x]),
+    "mutual_relation_witness": lambda b, x: g.mutual_relation_witness([b], [x], 1),
+    "UpperMotiveDescriptor": lambda b, x: g.UpperMotiveDescriptor(
+        (g.GSBFactor(b, 0), g.GSBFactor(x, 0))
+    ),
+    "classify_single": lambda b, x: g.classify_single(b, 0, x, 0),
+    "family_motives": lambda b, x: g.family_motives([b, x]),
+    "compare_families": lambda b, x: g.compare_families([b], [x]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MIXED_MODEL_CALLS))
+def test_mixed_models_rejected_naming_both(entry):
+    bq, b1, _, _ = biquaternion_model()
+    mx, x1, _, _ = mixed_exponent_model()
+    with pytest.raises(ModelMismatchError) as exc:
+        MIXED_MODEL_CALLS[entry](b1, x1)
+    assert str(bq) in str(exc.value) and str(mx) in str(exc.value)
 
 
 class TestNonIntegerInputs:

@@ -316,6 +316,20 @@ class TestExitCodes:
         assert out == ""
         assert "Δ1 has degree 4, Q has degree 2" in err
 
+    def test_degree_one_family(self, capsys, tmp_path):
+        doc = json.loads(json.dumps(BIQUATERNION_DOC))
+        doc["algebras"]["Z"] = {"class": {}, "degree": 1}
+        doc["algebras"]["Q"] = {"class": {"q1": 1}, "degree": 2}
+        path = tmp_path / "degree_one.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "-i", str(path), "--json", "compare-families", "--left", "Z", "--right", "Q"
+        )
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["verdict"] == "TATE_ONLY"
+        assert report["unmatched_left"] == [] and report["unmatched_right"] == ["M^{0}_{Q}"]
+
     def test_out_of_range_reduced_dimension(self, capsys, biq_path):
         code, _, err = run_cli(
             capsys, "-i", biq_path, "reduced-index", "--target", "Δ1", "--base", "X(4;Δ2)"

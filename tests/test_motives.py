@@ -211,6 +211,35 @@ class TestCompareFamilies:
         q = division_algebra(m.element((1, 0, 0)), "Q")
         assert compare_families([d1], [q]).verdict is FamilyVerdict.TATE_ONLY
 
+    def test_degree_one_family_is_tate_only(self):
+        # a degree-1 algebra contributes no motive, so no pair is shared
+        m, _, _, _ = biquaternion_model()
+        z = division_algebra(m.zero(), "Z")
+        q = division_algebra(m.element((1, 0, 0)), "Q")
+        comp = compare_families([z], [q])
+        assert comp.verdict is FamilyVerdict.TATE_ONLY
+        assert comp.shared == () and comp.unmatched_left == ()
+        assert comp.unmatched_right == family_motives([q])
+
+    def test_empty_families_rejected(self):
+        _, d1, _, _ = biquaternion_model()
+        for left, right in (([], [d1]), ([d1], []), ([], [])):
+            with pytest.raises(PreconditionError):
+                compare_families(left, right)
+
+    def test_cross_model_rejected_before_any_motive(self, monkeypatch):
+        import gsbmaps.motives
+        from gsbmaps import ModelMismatchError
+
+        def fail(*args):
+            raise AssertionError("family_motives called before the model check")
+
+        monkeypatch.setattr(gsbmaps.motives, "family_motives", fail)
+        _, d1, d2, _ = biquaternion_model()
+        _, e1, _, _ = mixed_exponent_model()
+        with pytest.raises(ModelMismatchError):
+            compare_families([d1, d2], [e1])
+
     def test_cross_model_rejected(self):
         _, d1, _, _ = biquaternion_model()
         _, e1, _, _ = mixed_exponent_model()

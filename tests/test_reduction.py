@@ -18,12 +18,14 @@ from gsbmaps import (
     ModelMismatchError,
     PreconditionError,
     class_exponent,
+    classify_single,
     combine,
     compare_families,
     division_algebra,
     equivalent,
     exists_rational_map,
     generic_index,
+    mutual_relation_witness,
     reduced_index,
     reduction_term,
     vp,
@@ -330,6 +332,17 @@ class TestNonIntegerInputs:
         _, d1, _, _ = biquaternion_model()
         with pytest.raises(PreconditionError, match="0.5"):
             GSBFactor(d1, 0.5)
+
+    # a bare k is checked by building a GSBFactor, so the same rule applies
+    def test_classify_single_k(self):
+        _, d1, _, _ = biquaternion_model()
+        with pytest.raises(PreconditionError, match="0.5"):
+            classify_single(d1, 0.5, d1, 0.5)
+
+    def test_mutual_relation_witness_k(self):
+        _, d1, d2, d3 = biquaternion_model()
+        with pytest.raises(PreconditionError, match="0.5"):
+            mutual_relation_witness([d1, d2], [d1, d3], 0.5)
 
 
 class TestCallScopedReuse:
