@@ -25,6 +25,7 @@ where the integer is the reduced dimension p^k (not k itself).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -53,22 +54,21 @@ def _check_name(name: Any, what: str) -> str:
 
 @dataclass
 class Instance:
-    """A loaded instance: the group model plus named algebras and varieties."""
+    """A loaded instance: the group model plus named algebras and varieties.
+
+    algebras maps every algebra name and every alias to its AlgebraSpec.
+    """
 
     model: BrauerGroupModel
-    generator_names: tuple[str, ...]
     algebras: dict[str, AlgebraSpec]
-    aliases: dict[str, str] = field(default_factory=dict)
     varieties: dict[str, GSBProduct] = field(default_factory=dict)
-    source: str = "<instance>"
 
     def algebra(self, name: str) -> AlgebraSpec:
         """Resolve an algebra by name or alias."""
-        if name in self.algebras:
-            return self.algebras[name]
-        if name in self.aliases:
-            return self.algebras[self.aliases[name]]
-        raise InstanceFormatError(f"unknown algebra {name!r}")
+        spec = self.algebras.get(name)
+        if spec is None:
+            raise InstanceFormatError(f"unknown algebra {name!r}")
+        return spec
 
     def algebra_list(self, names: str) -> list[AlgebraSpec]:
         """Resolve a comma-separated list of algebra names."""
@@ -152,25 +152,19 @@ def load_instance(doc: Any, source: str = "<instance>") -> Instance:
         except PreconditionError as exc:
             raise InstanceFormatError(f"{source}: {exc}") from exc
 
-    aliases: dict[str, str] = {}
     if "aliases" in doc:
         aliases_doc = _expect(doc, "aliases", dict, source)
         for alias, target in aliases_doc.items():
             what = f"{source}: alias {alias!r}"
             _check_name(alias, what)
-            if alias in algebras:
+            if alias in algebras_doc:
                 raise InstanceFormatError(f"{what}: collides with an algebra name")
-            if target not in algebras:
+            # an alias names an algebra, never another alias
+            if not isinstance(target, str) or target not in algebras_doc:
                 raise InstanceFormatError(f"{what}: unknown target algebra {target!r}")
-            aliases[alias] = target
+            algebras[alias] = algebras[target]
 
-    instance = Instance(
-        model=model,
-        generator_names=tuple(positions),
-        algebras=algebras,
-        aliases=aliases,
-        source=source,
-    )
+    instance = Instance(model, algebras)
 
     if "varieties" in doc:
         varieties_doc = _expect(doc, "varieties", dict, source)
@@ -203,51 +197,7 @@ def parse_instance(path: str | Path) -> Instance:
     return load_instance(doc, source=str(p))
 
 
-class _Cursor:
-    """Single-pass scanner for the variety grammar."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def expect(self, literal: str) -> None:
-        if not self.text.startswith(literal, self.pos):
-            raise InstanceFormatError(
-                f"expected {literal!r} at position {self.pos} in {self.text!r}"
-            )
-        self.pos += len(literal)
-
-    def read_integer(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise InstanceFormatError(
-                f"expected an integer at position {start} in {self.text!r}"
-            )
-        try:
-            return int(self.text[start : self.pos])
-        except ValueError as exc:  # past the digit limit, or a digit like "²"
-            raise InstanceFormatError(
-                f"bad integer at position {start}: {exc}"
-            ) from exc
-
-    def read_until(self, stop: str) -> str:
-        start = self.pos
-        idx = self.text.find(stop, start)
-        if idx < 0:
-            raise InstanceFormatError(
-                f"expected {stop!r} after position {start} in {self.text!r}"
-            )
-        self.pos = idx
-        return self.text[start:idx]
+_FACTOR = re.compile(r"\s*X\(\s*(\d+)\s*;([^)]*)\)\s*")
 
 
 def parse_variety_expression(text: str, instance: Instance) -> GSBProduct:
@@ -255,34 +205,39 @@ def parse_variety_expression(text: str, instance: Instance) -> GSBProduct:
 
     The integer m is the reduced dimension and must be a power of the
     instance prime; names resolve through aliases.  Out-of-range m (p^k with
-    k >= the degree exponent) is reported by the factor type itself.
+    k >= the degree exponent) is reported by the factor type itself.  Each
+    factor is checked before the text after it is read, so an error in an
+    earlier factor wins over a syntax error later in the text.
     """
-    cur = _Cursor(text)
+    p = instance.model.prime
     factors = []
+    pos = 0
     while True:
-        cur.skip_ws()
-        cur.expect("X")
-        cur.expect("(")
-        cur.skip_ws()
-        m = cur.read_integer()
-        cur.skip_ws()
-        cur.expect(";")
-        name = cur.read_until(")").strip()
-        cur.expect(")")
+        match = _FACTOR.match(text, pos)
+        if match is None:
+            raise InstanceFormatError(
+                f"expected a factor X(m;NAME) at position {pos} in {text!r}"
+            )
+        try:
+            m = int(match[1])
+        except ValueError as exc:  # past the int digit limit
+            raise InstanceFormatError(
+                f"bad integer in the factor at position {pos}: {exc}"
+            ) from exc
+        name = match[2].strip()
         if not name:
             raise InstanceFormatError(
-                f"empty algebra name in factor ending at position {cur.pos} "
-                f"in {text!r}"
+                f"empty algebra name in the factor at position {pos} in {text!r}"
             )
-        p = instance.model.prime
         k = _p_power_exponent(m, p)
         if k is None:
             raise InstanceFormatError(
                 f"reduced dimension {m} is not a power of the prime {p}"
             )
         factors.append(GSBFactor(instance.algebra(name), k))
-        cur.skip_ws()
-        if cur.at_end():
-            break
-        cur.expect("x")
-    return GSBProduct(tuple(factors))
+        pos = match.end()
+        if pos == len(text):
+            return GSBProduct(tuple(factors))
+        if text[pos] != "x":
+            raise InstanceFormatError(f"expected 'x' at position {pos} in {text!r}")
+        pos += 1

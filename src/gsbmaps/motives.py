@@ -40,10 +40,6 @@ class UpperMotiveDescriptor:
             raise PreconditionError("a motive descriptor needs at least one factor")
         same_model([f.model for f in factors], "descriptor factors")
 
-    @property
-    def model(self):
-        return self.factors[0].model
-
     def product(self) -> GSBProduct:
         return GSBProduct(self.factors)
 

@@ -156,6 +156,7 @@ def reduction_term(target: AlgebraSpec, base: GSBProduct, i: Sequence[int]) -> i
     of the twisted class.
     """
     same_model([target.model, base.model], "target and base")
+    common_degree([target, *base.algebras()], "index reduction")
     tup = tuple(_integer(x, "tuple entry") for x in i)
     if len(tup) != len(base.factors):
         raise PreconditionError(

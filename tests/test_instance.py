@@ -119,6 +119,12 @@ class TestLoadInstance:
         with pytest.raises(InstanceFormatError, match="unknown target"):
             load_instance(doc)
 
+    def test_alias_target_must_be_a_name(self):
+        doc = _biquaternion_doc()
+        doc["aliases"]["D9"] = ["Δ1"]
+        with pytest.raises(InstanceFormatError, match="unknown target"):
+            load_instance(doc)
+
     def test_forbidden_name_characters(self):
         doc = _biquaternion_doc()
         doc["algebras"]["a;b"] = {"class": {"q1": 1}, "degree": 2}
@@ -131,6 +137,59 @@ class TestLoadInstance:
         inst = load_instance(doc)
         assert isinstance(inst.varieties["left"], GSBProduct)
         assert str(inst.varieties["left"]) == "X(2;Δ1) x X(2;Δ2)"
+
+
+def _set(path, value):
+    """Load the biquaternion document with the entry at path set to value."""
+
+    def load():
+        doc = _biquaternion_doc()
+        *parents, key = path
+        entry = doc
+        for part in parents:
+            entry = entry[part]
+        entry[key] = value
+        load_instance(doc)
+
+    return load
+
+
+# id -> (a call that must fail, the message naming the offending field)
+LOAD_ERRORS = {
+    "empty-name": (_set(("generators", 0, "name"), ""), "generator #1: name must"),
+    "non-string-name": (_set(("generators", 0, "name"), 7), "generator #1: name must"),
+    "padded-name": (_set(("generators", 0, "name"), " q1"), "name ' q1' has leading"),
+    "string-prime": (_set(("prime",), "2"), "'prime' must be a int, got str"),
+    "top-level-list": (lambda: load_instance([]), "top level must be a JSON object"),
+    "no-generators": (_set(("generators",), []), "'generators' must be nonempty"),
+    "generator-not-object": (_set(("generators", 0), "q1"), "generator #1: must be"),
+    "algebra-not-object": (_set(("algebras", "Δ1"), 4), "algebra 'Δ1': must be"),
+    "float-order": (_set(("generators", 0, "order"), 2.0), r"'q1'\): 'order' must"),
+    "bool-order": (_set(("generators", 0, "order"), True), r"'q1'\): 'order' must"),
+    "float-exponent": (
+        _set(("algebras", "Δ1", "class", "q1"), 2.0),
+        "algebra 'Δ1': exponent of 'q1' must be an integer",
+    ),
+    "bool-exponent": (
+        _set(("algebras", "Δ1", "class", "q1"), True),
+        "algebra 'Δ1': exponent of 'q1' must be an integer",
+    ),
+    "variety-not-string": (
+        _set(("varieties",), {"v": 5}),
+        "variety 'v': expression must be a string",
+    ),
+    "malformed-variety": (_set(("varieties",), {"v": "X(2;Δ1"}), "variety 'v': "),
+    "empty-algebra-list": (
+        lambda: load_instance(_biquaternion_doc()).algebra_list(" , "),
+        "empty algebra list",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, match", LOAD_ERRORS.values(), ids=LOAD_ERRORS)
+def test_load_error_names_the_field(call, match):
+    with pytest.raises(InstanceFormatError, match=match):
+        call()
 
 
 class TestParseInstanceFile:
@@ -213,6 +272,31 @@ class TestVarietyGrammar:
         # X(4;D) with deg(D)=4 violates the factor range, not the grammar
         with pytest.raises(PreconditionError):
             parse_variety_expression("X(4;Δ1)", inst)
+
+    @pytest.mark.parametrize(
+        "text, error, match",
+        [
+            # a semantic error in a factor wins over a syntax error after it
+            ("X(4;Δ1) y", PreconditionError, None),
+            ("X(3;Δ1) y", InstanceFormatError, "power of the prime"),
+            ("X(2;Δ9) x", InstanceFormatError, "unknown algebra"),
+            # "²" is a digit to str.isdigit but not a decimal digit
+            ("X(²;Δ1)", InstanceFormatError, None),
+        ],
+    )
+    def test_error_order_and_type(self, inst, text, error, match):
+        with pytest.raises(error, match=match):
+            parse_variety_expression(text, inst)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("\tX(2;Δ1)\nxX(2;Δ2) ", "X(2;Δ1) x X(2;Δ2)"),
+            ("X(٢;Δ1)", "X(2;Δ1)"),  # an Arabic-Indic digit two
+        ],
+    )
+    def test_unicode_whitespace_and_decimal_digits(self, inst, text, expected):
+        assert str(parse_variety_expression(text, inst)) == expected
 
     def test_round_trip_fixture_expressions(self, inst):
         for text in ("X(2;Δ1) x X(2;Δ2)", "X(1;Δ3)", "X(2;Δ1) x X(1;Δ2) x X(2;Δ3)"):

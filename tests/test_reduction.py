@@ -123,6 +123,15 @@ class TestReductionTerm:
         with pytest.raises(ModelMismatchError):
             reduction_term(e1, base, (1, 1))
 
+    def test_degree_mismatch_rejected(self):
+        # the same one-common-degree contract as reduced_index
+        m = BrauerGroupModel(2, (4, 2))
+        big = division_algebra(m.element((1, 1)))  # degree 8
+        small = division_algebra(m.element((2, 0)))  # degree 2
+        base = uniform_product([small], 0)
+        with pytest.raises(PreconditionError, match="index reduction needs one"):
+            reduction_term(big, base, (1,))
+
     def test_residual_exponent_divides_index(self):
         # exponent | index holds for the twisted class at every tuple
         _, d1, d2, d3 = mixed_exponent_model()
