@@ -84,13 +84,30 @@ class Instance:
         return parse_variety_expression(text, self)
 
 
+# the JSON names of the Python types a decoded document holds
+_JSON_TYPES = {
+    dict: "an object",
+    list: "a list",
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    bool: "a boolean",
+    type(None): "null",
+}
+
+
+def _json_type(kind: type) -> str:
+    return _JSON_TYPES.get(kind, kind.__name__)
+
+
 def _expect(doc: Mapping[str, Any], key: str, kind: type, what: str) -> Any:
     if key not in doc:
         raise InstanceFormatError(f"{what}: missing required key {key!r}")
     value = doc[key]
     if not isinstance(value, kind) or isinstance(value, bool):
         raise InstanceFormatError(
-            f"{what}: {key!r} must be a {kind.__name__}, got {type(value).__name__}"
+            f"{what}: {key!r} must be {_json_type(kind)}, "
+            f"got {_json_type(type(value))}"
         )
     return value
 

@@ -8,9 +8,14 @@ over the function field of X(p^{k_1};D_1) x ... x X(p^{k_n};D_n) is
         prod_j p^{k_j}/gcd(i_j, p^{k_j}) * ind(D (x) D_1^{-i_1} (x) ... (x) D_n^{-i_n})
 
 computed here by full enumeration, with the lexicographically smallest
-minimizer returned as a witness.  The inputs are validated once per call;
-each tuple then costs one deficiency-table lookup per factor and one combine
-call, which forms its twisted class.
+minimizer returned as a witness.  The inputs are validated once per call.
+The tuples are walked in lex order, and each twisted class is the previous
+one plus one step: raising i_r by one wraps every later entry from p^s back
+to 1, and p^s*[D_j] = 0 (the exponent of D_j divides its index p^s), so the
+class moves by -([D_r] + ... + [D_n]).  A tuple thus costs one combine call,
+of two terms except at a carry, and one deficiency lookup per factor; the
+model index is computed only when the deficiency alone is below the best
+value so far.
 
 A decision that asks the same question many times runs inside
 reuses_reduced_index: within that one call, reduced_index answers a repeated
@@ -25,11 +30,10 @@ import itertools
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .brauer import (
     AlgebraSpec,
-    BrauerClass,
     BrauerGroupModel,
     _integer,
     combine,
@@ -122,32 +126,6 @@ def common_degree(algebras: Sequence[AlgebraSpec], what: str) -> int:
     return first.degree_exponent
 
 
-def _deficiency_tables(
-    base: GSBProduct, entries: Iterable[int]
-) -> list[dict[int, int]]:
-    """Per base factor j, the map i -> p^{k_j}/gcd(i, p^{k_j}) over entries."""
-    p = base.prime
-    return [
-        {i: pk // math.gcd(i, pk) for i in entries}
-        for pk in (p**f.k for f in base.factors)
-    ]
-
-
-def _term(
-    target: BrauerClass,
-    classes: Sequence[BrauerClass],
-    tables: Sequence[dict[int, int]],
-    tup: tuple[int, ...],
-) -> int:
-    # the unchecked core of reduction_term: inputs are validated by the caller
-    deficiency = 1
-    terms = [(target, 1)]
-    for ij, cls, table in zip(tup, classes, tables):
-        deficiency *= table[ij]
-        terms.append((cls, -ij))
-    return deficiency * generic_index(combine(terms))
-
-
 def reduction_term(target: AlgebraSpec, base: GSBProduct, i: Sequence[int]) -> int:
     """Value of one candidate twist in the index-reduction minimum.
 
@@ -162,12 +140,15 @@ def reduction_term(target: AlgebraSpec, base: GSBProduct, i: Sequence[int]) -> i
         raise PreconditionError(
             f"tuple length {len(tup)} does not match {len(base.factors)} base factors"
         )
-    for ij in tup:
+    deficiency = 1
+    terms = [(target.brauer_class, 1)]
+    for ij, f in zip(tup, base.factors):
         if ij < 1:
             raise PreconditionError(f"tuple entries must be >= 1, got {ij}")
-    tables = _deficiency_tables(base, tup)
-    classes = [a.brauer_class for a in base.algebras()]
-    return _term(target.brauer_class, classes, tables, tup)
+        pk = base.prime**f.k
+        deficiency *= pk // math.gcd(ij, pk)
+        terms.append((f.algebra.brauer_class, -ij))
+    return deficiency * generic_index(combine(terms))
 
 
 class ReducedIndex(NamedTuple):
@@ -223,16 +204,37 @@ def reduced_index(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
 def _enumerate(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
     same_model([target.model, base.model], "target and base")
     s = common_degree([target, *base.algebras()], "index reduction")
-    entries = range(1, base.prime**s + 1)
-    target_class = target.brauer_class
-    classes = [a.brauer_class for a in base.algebras()]
-    tables = _deficiency_tables(base, entries)
-    best: int | None = None
-    best_tuple: tuple[int, ...] = ()
-    for tup in itertools.product(entries, repeat=len(classes)):
-        value = _term(target_class, classes, tables, tup)
-        if best is None or value < best:
-            best, best_tuple = value, tup
-    if best is None:
+    q = base.prime**s
+    n = len(base.factors)
+    # deficiencies[j][i] = p^{k_j}/gcd(i, p^{k_j}) for the entries i in [1, q];
+    # index 0 is never read
+    deficiencies = [
+        [pk // math.gcd(i, pk) for i in range(q + 1)]
+        for pk in (base.prime**f.k for f in base.factors)
+    ]
+    # Tuples come in lex order.  A tuple whose entry r is not 1 and whose
+    # later entries are all 1 comes from the one before it by raising entry r
+    # by one and wrapping every later entry from q back to 1.  q*[D_j] = 0
+    # (exp D_j divides ind D_j = q: AlgebraSpec makes the model index the
+    # degree, and common_degree makes every degree q), so the twisted class
+    # moves by -([D_r] + ... + [D_n]), the terms tails[r].  The first tuple
+    # (1, ..., 1) is the same step at r = 0 from [target].
+    tails = [[(a.brauer_class, -1) for a in base.algebras()[r:]] for r in range(n)]
+    cls = target.brauer_class
+    best, best_tuple = math.inf, ()
+    for tup in itertools.product(range(1, q + 1), repeat=n):
+        r = n - 1
+        while r and tup[r] == 1:
+            r -= 1
+        cls = combine([(cls, 1), *tails[r]])
+        deficiency = 1
+        for table, ij in zip(deficiencies, tup):
+            deficiency *= table[ij]
+        # the index is at least 1, so only a deficiency below best can win
+        if deficiency < best:
+            value = deficiency * generic_index(cls)
+            if value < best:
+                best, best_tuple = value, tup
+    if not best_tuple:
         raise InvariantViolation("index reduction enumerated no tuples")
     return ReducedIndex(best, best_tuple)

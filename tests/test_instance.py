@@ -159,9 +159,13 @@ LOAD_ERRORS = {
     "empty-name": (_set(("generators", 0, "name"), ""), "generator #1: name must"),
     "non-string-name": (_set(("generators", 0, "name"), 7), "generator #1: name must"),
     "padded-name": (_set(("generators", 0, "name"), " q1"), "name ' q1' has leading"),
-    "string-prime": (_set(("prime",), "2"), "'prime' must be a int, got str"),
+    "string-prime": (_set(("prime",), "2"), "'prime' must be an integer, got a string"),
     "top-level-list": (lambda: load_instance([]), "top level must be a JSON object"),
     "no-generators": (_set(("generators",), []), "'generators' must be nonempty"),
+    "object-generators": (
+        _set(("generators",), {}),
+        "'generators' must be a list, got an object",
+    ),
     "generator-not-object": (_set(("generators", 0), "q1"), "generator #1: must be"),
     "algebra-not-object": (_set(("algebras", "Δ1"), 4), "algebra 'Δ1': must be"),
     "float-order": (_set(("generators", 0, "order"), 2.0), r"'q1'\): 'order' must"),

@@ -310,11 +310,22 @@ class TestReducedIndexBeyondTwoFactorsAndPTwo:
                 for k1, k2 in itertools.product(range(s), repeat=2):
                     _check_against_oracle(model, s, target, [(b1, k1), (b2, k2)])
 
+    @staticmethod
+    def _check_mixed_k(model, s, patterns):
+        # every multiset of base algebras of degree p^s, at every k pattern
+        # given, against the first algebra (one target keeps each test near a
+        # second)
+        algebras = by_degree(model)[s]
+        target, n = algebras[0], len(patterns[0])
+        for bases in itertools.combinations_with_replacement(algebras, n):
+            for ks in patterns:
+                _check_against_oracle(model, s, target, list(zip(bases, ks)))
+
     @pytest.mark.parametrize(
         "model", [BrauerGroupModel(2, (2, 2, 2)), BrauerGroupModel(2, (4, 2))], ids=str
     )
     def test_three_factors_mixed_k_match_oracle(self, model):
-        for s, algebras in by_degree(model).items():
+        for s in by_degree(model):
             if s < 2:
                 continue  # k = 0 is the only choice
             # every k pattern using min(s, 3) distinct values of k
@@ -323,10 +334,37 @@ class TestReducedIndexBeyondTwoFactorsAndPTwo:
                 for ks in itertools.product(range(s), repeat=3)
                 if len(set(ks)) == min(s, 3)
             ]
-            target = algebras[0]  # one target keeps the test near a second
-            for trio in itertools.combinations_with_replacement(algebras, 3):
-                for ks in mixed:
-                    _check_against_oracle(model, s, target, list(zip(trio, ks)))
+            self._check_mixed_k(model, s, mixed)
+
+    def test_four_factors_mixed_k_match_oracle(self):
+        # Z/4 x Z/2 at s = 2: (1,0) and (3,0) have exponent 4 = degree, (2,1)
+        # exponent 2 < degree.  Four factors make the lex walk carry at three
+        # levels, e.g. (1,4,4,4) -> (2,1,1,1); the bases repeat algebras and
+        # some contain the target (1,0).  Every arrangement of two k = 0 and
+        # two k = 1.
+        two_each = [ks for ks in itertools.product(range(2), repeat=4) if sum(ks) == 2]
+        self._check_mixed_k(BrauerGroupModel(2, (4, 2)), 2, two_each)
+
+    @pytest.mark.parametrize(
+        "model, s",
+        [(BrauerGroupModel(2, (4, 4, 2)), 3), (BrauerGroupModel(3, (3, 3, 3)), 2)],
+        ids=["Z/4 x Z/4 x Z/2", "Z/3 x Z/3 x Z/3"],
+    )
+    def test_four_factor_terms_agree_with_reduced_index(self, model, s):
+        # reduced_index carries each twisted class over from the previous
+        # tuple; reduction_term builds it afresh.  On four-factor bases like
+        # the benchmark's, the terms' minimum, its first tuple and the term at
+        # the witness all agree with reduced_index, for targets in the base
+        # and outside it.
+        a0, a1, a2, _ = algebras = by_degree(model)[s][:4]
+        base = product_of([a1, a2, a1, a0], [0, s - 1, 1, 0])
+        tuples = list(itertools.product(range(1, model.prime**s + 1), repeat=4))
+        for target in algebras:
+            result = reduced_index(target, base)
+            assert reduction_term(target, base, result.witness) == result.value
+            terms = [reduction_term(target, base, tup) for tup in tuples]
+            assert min(terms) == result.value
+            assert tuples[terms.index(result.value)] == result.witness
 
 
 class TestNonIntegerInputs:
