@@ -232,21 +232,14 @@ def combine(terms: Sequence[tuple[BrauerClass, int]]) -> BrauerClass:
     if not terms:
         raise PreconditionError("combine needs at least one term")
     group = terms[0][0].group
-    vectors = []
-    coeffs = []
+    total = [0] * group.rank
     for cls, coeff in terms:
         if cls.group is not group:
             same_model([group, cls.group], "combine terms")
-        vectors.append(cls.exponents)
-        coeffs.append(_integer(coeff, "combine coefficient"))
+        coeff = _integer(coeff, "combine coefficient")
+        total = [t + coeff * e for t, e in zip(total, cls.exponents)]
     return BrauerClass._reduced(
-        group,
-        tuple(
-            [
-                sum(map(operator.mul, coeffs, column)) % o
-                for column, o in zip(zip(*vectors), group.generator_orders)
-            ]
-        ),
+        group, tuple([t % o for t, o in zip(total, group.generator_orders)])
     )
 
 
@@ -265,8 +258,14 @@ def generic_index(c: BrauerClass) -> int:
     underlying algebras beyond the group structure, so the index of a
     combination is the product of the component orders.
     """
+    return _index(c.exponents, c.group.generator_orders)
+
+
+def _index(exponents: Iterable[int], orders: tuple[int, ...]) -> int:
+    """generic_index of the exponent vector, which need not be reduced:
+    gcd(e, o) depends only on e mod o."""
     result = 1
-    for e, o in zip(c.exponents, c.group.generator_orders):
+    for e, o in zip(exponents, orders):
         result *= o // math.gcd(e, o)
     return result
 

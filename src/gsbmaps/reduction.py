@@ -7,15 +7,21 @@ over the function field of X(p^{k_1};D_1) x ... x X(p^{k_n};D_n) is
     min over (i_1,...,i_n) in [1, p^s]^n of
         prod_j p^{k_j}/gcd(i_j, p^{k_j}) * ind(D (x) D_1^{-i_1} (x) ... (x) D_n^{-i_n})
 
-computed here by full enumeration, with the lexicographically smallest
-minimizer returned as a witness.  The inputs are validated once per call.
-The tuples are walked in lex order, and each twisted class is the previous
-one plus one step: raising i_r by one wraps every later entry from p^s back
-to 1, and p^s*[D_j] = 0 (the exponent of D_j divides its index p^s), so the
-class moves by -([D_r] + ... + [D_n]).  A tuple thus costs one combine call,
-of two terms except at a carry, and one deficiency lookup per factor; the
-model index is computed only when the deficiency alone is below the best
-value so far.
+computed here by enumeration in lex order, with the lexicographically
+smallest minimizer returned as a witness.  The inputs are validated once per
+call.  Each twisted class is the previous one plus one step: raising i_r by
+one wraps every later entry from p^s back to 1, and p^s*[D_j] = 0 (the
+exponent of D_j divides its index p^s), so the class moves by
+-([D_r] + ... + [D_n]).  A tuple thus costs one combine call, of two terms
+except at a carry, and one deficiency lookup per factor; the model index is
+computed only when the deficiency alone is below the best value so far.
+
+Every twisted class lies in the coset [D] + H, H = <[D_1], ..., [D_n]>, and
+every deficiency is at least 1, so no tuple scores below the coset floor
+min{ind(x) : x in [D] + H}.  The floor is computed once per call by spanning
+H over raw exponent vectors, |H| <= min(|G|, prod exp D_j) <= (p^s)^n
+additions and no combine call, and the scan stops at the first tuple that
+reaches it; that tuple is still the first minimizer.
 
 A decision that asks the same question many times runs inside
 reuses_reduced_index: within that one call, reduced_index answers a repeated
@@ -35,7 +41,9 @@ from typing import Callable, NamedTuple, Sequence
 from .brauer import (
     AlgebraSpec,
     BrauerGroupModel,
+    _index,
     _integer,
+    _span,
     combine,
     generic_index,
     same_model,
@@ -220,6 +228,15 @@ def _enumerate(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
     # moves by -([D_r] + ... + [D_n]), the terms tails[r].  The first tuple
     # (1, ..., 1) is the same step at r = 0 from [target].
     tails = [[(a.brauer_class, -1) for a in base.algebras()[r:]] for r in range(n)]
+    # The coset floor (module docstring): the least index on [target] + H,
+    # H spanned by the [D_j].  No tuple scores below it, so the scan stops
+    # at the first tuple that reaches it.
+    orders = base.model.generator_orders
+    exps = target.brauer_class.exponents
+    floor = min(
+        _index([a + b for a, b in zip(exps, h)], orders)
+        for h in _span([a.brauer_class.exponents for a in base.algebras()], orders)
+    )
     cls = target.brauer_class
     best, best_tuple = math.inf, ()
     for tup in itertools.product(range(1, q + 1), repeat=n):
@@ -235,6 +252,8 @@ def _enumerate(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
             value = deficiency * generic_index(cls)
             if value < best:
                 best, best_tuple = value, tup
+                if best == floor:
+                    break
     if not best_tuple:
         raise InvariantViolation("index reduction enumerated no tuples")
     return ReducedIndex(best, best_tuple)

@@ -88,6 +88,16 @@ def oracle_closure(orders, gens):
     return frozenset(seen)
 
 
+def oracle_coset_floor(orders, target_vec, base_vecs):
+    """Least index on the coset target + <base_vecs>.  Every twist of the
+    target by the base lies in it and every deficiency is at least 1, so no
+    index-reduction tuple scores below it."""
+    return min(
+        oracle_index(orders, table_add(orders, target_vec, h))
+        for h in oracle_closure(orders, base_vecs)
+    )
+
+
 def oracle_is_closed(orders, vecs):
     """True iff every pairwise sum of the vectors is again one of them."""
     members = set(vecs)

@@ -35,6 +35,7 @@ from helpers import (
     biquaternion_model,
     by_degree,
     mixed_exponent_model,
+    oracle_coset_floor,
     oracle_reduced_index,
     product_of,
     uniform_product,
@@ -276,23 +277,78 @@ class TestReducedIndex:
         assert reduction_term(d3, base, result.witness) == result.value
 
 
-def _check_against_oracle(model, s, target, factors):
-    # factors: (algebra, k) pairs; the witness must also re-verify through
-    # reduction_term
-    base = GSBProduct(tuple(GSBFactor(a, k) for a, k in factors))
-    got = reduced_index(target, base)
+def _count_combines(monkeypatch):
+    """The list of the enumeration's combine calls, filled as they happen."""
+    combines = []
+    real_combine = gsbmaps.reduction.combine
+
+    def counting_combine(terms):
+        combines.append(terms)
+        return real_combine(terms)
+
+    monkeypatch.setattr(gsbmaps.reduction, "combine", counting_combine)
+    return combines
+
+
+def _oracle_scan(target, base):
+    """((value, witness), tuples scanned, where the floor was reached), from
+    the oracles alone.
+
+    The scan makes one combine call per tuple and stops at the first tuple
+    whose value is the coset floor, so it visits the witness's lex rank of
+    tuples when the minimum is the floor ("first" or "later"), and all
+    (p^s)^n otherwise ("never").
+    """
+    model, s = target.model, target.degree_exponent
+    orders, q, n = model.generator_orders, model.prime**s, len(base)
+    vecs = [f.algebra.brauer_class.exponents for f in base.factors]
     want = oracle_reduced_index(
         model.prime,
         s,
-        model.generator_orders,
+        orders,
         target.brauer_class.exponents,
-        [(a.brauer_class.exponents, k) for a, k in factors],
+        [(v, f.k) for v, f in zip(vecs, base.factors)],
     )
+    value, witness = want
+    if value != oracle_coset_floor(orders, target.brauer_class.exponents, vecs):
+        return want, q**n, "never"
+    rank = 1
+    for j, entry in enumerate(witness):
+        rank += (entry - 1) * q ** (n - 1 - j)
+    return want, rank, "first" if rank == 1 else "later"
+
+
+def _check_against_oracle(target, factors):
+    # factors: (algebra, k) pairs; the witness must also re-verify through
+    # reduction_term, and the scan must stop where the oracles predict.
+    # Returns where the scan reached the coset floor.
+    base = GSBProduct(tuple(GSBFactor(a, k) for a, k in factors))
+    with pytest.MonkeyPatch.context() as mp:
+        combines = _count_combines(mp)
+        got = reduced_index(target, base)
+    want, scanned, reached = _oracle_scan(target, base)
     assert (got.value, got.witness) == want
+    assert len(combines) == scanned
     assert reduction_term(target, base, got.witness) == got.value
+    return reached
 
 
 class TestReducedIndexBeyondTwoFactorsAndPTwo:
+    def test_enumerated_models_scan_to_the_coset_floor(self):
+        # every one- and two-factor question, each k pattern; the sample holds
+        # scans that reach the floor at the first tuple, at a later one
+        # (Z/4 x Z/2: (3,0) over X(1;(1,0)) at (3,)) and never (the
+        # biquaternion pin: floor 1, minimum 4)
+        reached = set()
+        for model in ENUMERATED_MODELS:
+            for s, algebras in by_degree(model).items():
+                for n in (1, 2):
+                    for target, *bases in itertools.product(algebras, repeat=n + 1):
+                        for ks in itertools.product(range(s), repeat=n):
+                            factors = list(zip(bases, ks))
+                            reached.add(_check_against_oracle(target, factors))
+        assert reached == {"first", "later", "never"}
+
     @pytest.mark.parametrize(
         "model", [BrauerGroupModel(3, (3, 3)), BrauerGroupModel(3, (9, 3))], ids=str
     )
@@ -300,7 +356,7 @@ class TestReducedIndexBeyondTwoFactorsAndPTwo:
         for s, algebras in by_degree(model).items():
             for target, b in itertools.product(algebras, repeat=2):
                 for k in range(s):
-                    _check_against_oracle(model, s, target, [(b, k)])
+                    _check_against_oracle(target, [(b, k)])
 
     def test_p3_two_factors_match_oracle(self):
         model = BrauerGroupModel(3, (3, 3))
@@ -308,7 +364,7 @@ class TestReducedIndexBeyondTwoFactorsAndPTwo:
             target = algebras[0]  # one target per degree, as below
             for b1, b2 in itertools.combinations_with_replacement(algebras, 2):
                 for k1, k2 in itertools.product(range(s), repeat=2):
-                    _check_against_oracle(model, s, target, [(b1, k1), (b2, k2)])
+                    _check_against_oracle(target, [(b1, k1), (b2, k2)])
 
     @staticmethod
     def _check_mixed_k(model, s, patterns):
@@ -319,7 +375,7 @@ class TestReducedIndexBeyondTwoFactorsAndPTwo:
         target, n = algebras[0], len(patterns[0])
         for bases in itertools.combinations_with_replacement(algebras, n):
             for ks in patterns:
-                _check_against_oracle(model, s, target, list(zip(bases, ks)))
+                _check_against_oracle(target, list(zip(bases, ks)))
 
     @pytest.mark.parametrize(
         "model", [BrauerGroupModel(2, (2, 2, 2)), BrauerGroupModel(2, (4, 2))], ids=str
@@ -400,32 +456,31 @@ class TestCallScopedReuse:
     def _record(monkeypatch):
         """Lists of the enumeration's combine calls and of the reduced_index
         questions the decisions ask, filled as they happen."""
-        combines, questions = [], []
-        real_combine = gsbmaps.reduction.combine
+        questions = []
         real_reduced_index = gsbmaps.maps.reduced_index
-
-        def counting_combine(terms):
-            combines.append(terms)
-            return real_combine(terms)
 
         def recording_reduced_index(target, base):
             questions.append((target, base))
             return real_reduced_index(target, base)
 
-        monkeypatch.setattr(gsbmaps.reduction, "combine", counting_combine)
         monkeypatch.setattr(gsbmaps.maps, "reduced_index", recording_reduced_index)
-        return combines, questions
+        return _count_combines(monkeypatch), questions
 
     def test_families_enumerate_each_distinct_question_once(self, monkeypatch):
         _, d1, d2, d3 = biquaternion_model()
         combines, questions = self._record(monkeypatch)
         compare_families([d1, d2], [d1, d3])
-        distinct = {(target, base.factors): base for target, base in questions}
+        scanned = {
+            (target, base.factors): _oracle_scan(target, base)[1]
+            for target, base in questions
+        }
         assert len(questions) == 160
-        assert len(distinct) == 30
-        # (p^s)^n tuples, one combine each, per distinct question: p^s = 4
-        assert len(combines) == sum(4 ** len(base) for base in distinct.values())
-        assert len(combines) < sum(4 ** len(base) for _, base in questions)
+        assert len(scanned) == 30
+        # one scan per distinct question, as long as the oracles predict
+        assert len(combines) == sum(scanned.values())
+        assert len(combines) < sum(
+            scanned[target, base.factors] for target, base in questions
+        )
 
     def test_nothing_outlives_a_call(self, monkeypatch):
         m, d1, d2, d3 = biquaternion_model()
