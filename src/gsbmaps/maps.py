@@ -12,23 +12,15 @@ because outside the hypotheses the criteria are inapplicable, not negative.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .brauer import (
-    AlgebraSpec,
-    combine,
-    same_model,
-    subgroup_generated,
-    subgroups_equal,
-    vp,
-)
+from .brauer import AlgebraSpec, same_model, subgroup_generated, subgroups_equal
 from .errors import InvariantViolation, PreconditionError
 from .reduction import (
     GSBFactor,
     GSBProduct,
+    _twists,
     common_degree,
     reduced_index,
     reuses_reduced_index,
@@ -121,22 +113,16 @@ def _balanced_row(
     """Lexicographically smallest balanced relation of d over family, or None.
 
     That is a row i in [1, p^s]^m with sum_j vp(gcd(i_j, p^k)) = k(m-1) and
-    [d] = sum_j i_j [D_j] over the m algebras D_j of family.
+    [d] = sum_j i_j [D_j] over the m algebras D_j of family: the same
+    statement as a twist of d over X(p^k;D_1) x ... x X(p^k;D_m) with
+    deficiency p^k and twisted class zero, so the search filters the walk
+    that index reduction uses.
     """
-    p = d.prime
-    m = len(family)
-    pk = p**k
-    budget = k * (m - 1)
-    entries = range(1, p**s + 1)
-    valuation = {a: vp(math.gcd(a, pk), p) for a in entries}
-    classes = [f.brauer_class for f in family]
-    for row in itertools.product(entries, repeat=m):
-        if sum(map(valuation.__getitem__, row)) != budget:
-            continue
-        terms = [(d.brauer_class, 1)]
-        terms += [(c, -a) for c, a in zip(classes, row)]
-        if combine(terms).is_zero:
-            return row
+    pk = d.prime**k
+    base = GSBProduct(tuple(GSBFactor(a, k) for a in family))
+    for i, deficiency, cls in _twists(d, base, s):
+        if deficiency == pk and cls.is_zero:
+            return i
     return None
 
 
@@ -153,6 +139,7 @@ def relation_witness(
 
     otherwise None.
     """
+    same_model([target.model, base.model], "target and base")
     ks = {f.k for f in base.factors}
     if len(ks) != 1:
         raise PreconditionError("all base factors must share one k")
@@ -210,19 +197,16 @@ def mutual_relation_witness(
                 f"{name} family must have one exponent throughout, got "
                 + ", ".join(map(str, sorted(exps)))
             )
-    left_rows = []
-    for d in left:
-        row = _balanced_row(d, right, k, s)
-        if row is None:
-            return None
-        left_rows.append(row)
-    right_rows = []
-    for d in right:
-        row = _balanced_row(d, left, k, s)
-        if row is None:
-            return None
-        right_rows.append(row)
-    return MutualRelation(tuple(left_rows), tuple(right_rows))
+    matrices = []
+    for classes, family in ((left, right), (right, left)):
+        rows = []
+        for d in classes:
+            row = _balanced_row(d, family, k, s)
+            if row is None:
+                return None
+            rows.append(row)
+        matrices.append(tuple(rows))
+    return MutualRelation(*matrices)
 
 
 def dimension(f: GSBFactor) -> int:

@@ -9,12 +9,19 @@ over the function field of X(p^{k_1};D_1) x ... x X(p^{k_n};D_n) is
 
 computed here by enumeration in lex order, with the lexicographically
 smallest minimizer returned as a witness.  The inputs are validated once per
-call.  Each twisted class is the previous one plus one step: raising i_r by
+call.  One walk, _twists, yields every tuple with its deficiency and twisted
+class.  Each twisted class is the previous one plus one step: raising i_r by
 one wraps every later entry from p^s back to 1, and p^s*[D_j] = 0 (the
 exponent of D_j divides its index p^s), so the class moves by
 -([D_r] + ... + [D_n]).  A tuple thus costs one combine call, of two terms
 except at a carry, and one deficiency lookup per factor; the model index is
 computed only when the deficiency alone is below the best value so far.
+
+The balanced relations of maps share that walk.  A row i in [1, p^s]^m with
+sum_j vp(gcd(i_j, p^k)) = k(m-1) and [D] = sum_j i_j [D_j] is exactly a
+twist of D over X(p^k;D_1) x ... x X(p^k;D_m) whose deficiency
+p^(km - sum_j vp(gcd(i_j, p^k))) is p^(km - k(m-1)) = p^k and whose twisted
+class is zero.
 
 Every twisted class lies in the coset [D] + H, H = <[D_1], ..., [D_n]>, and
 every deficiency is at least 1, so no tuple scores below the coset floor
@@ -36,7 +43,7 @@ import itertools
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .brauer import (
     AlgebraSpec,
@@ -209,9 +216,9 @@ def reduced_index(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
     return result
 
 
-def _enumerate(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
-    same_model([target.model, base.model], "target and base")
-    s = common_degree([target, *base.algebras()], "index reduction")
+def _twists(target: AlgebraSpec, base: GSBProduct, s: int) -> Iterator[tuple]:
+    """Every twist of target over base in lex order, as (tuple, deficiency,
+    twisted class); the caller has checked the model and the degree p^s."""
     q = base.prime**s
     n = len(base.factors)
     # deficiencies[j][i] = p^{k_j}/gcd(i, p^{k_j}) for the entries i in [1, q];
@@ -220,14 +227,26 @@ def _enumerate(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
         [pk // math.gcd(i, pk) for i in range(q + 1)]
         for pk in (base.prime**f.k for f in base.factors)
     ]
-    # Tuples come in lex order.  A tuple whose entry r is not 1 and whose
-    # later entries are all 1 comes from the one before it by raising entry r
-    # by one and wrapping every later entry from q back to 1.  q*[D_j] = 0
-    # (exp D_j divides ind D_j = q: AlgebraSpec makes the model index the
-    # degree, and common_degree makes every degree q), so the twisted class
-    # moves by -([D_r] + ... + [D_n]), the terms tails[r].  The first tuple
-    # (1, ..., 1) is the same step at r = 0 from [target].
+    # A tuple whose entry r is not 1 and whose later entries are all 1 follows
+    # the one before it by raising entry r and wrapping the later entries from
+    # q back to 1; q*[D_j] = 0, so the class moves by the terms tails[r]
+    # (module docstring).  The first tuple is the same step at r = 0.
     tails = [[(a.brauer_class, -1) for a in base.algebras()[r:]] for r in range(n)]
+    cls = target.brauer_class
+    for tup in itertools.product(range(1, q + 1), repeat=n):
+        r = n - 1
+        while r and tup[r] == 1:
+            r -= 1
+        cls = combine([(cls, 1), *tails[r]])
+        deficiency = 1
+        for table, ij in zip(deficiencies, tup):
+            deficiency *= table[ij]
+        yield tup, deficiency, cls
+
+
+def _enumerate(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
+    same_model([target.model, base.model], "target and base")
+    s = common_degree([target, *base.algebras()], "index reduction")
     # The coset floor (module docstring): the least index on [target] + H,
     # H spanned by the [D_j].  No tuple scores below it, so the scan stops
     # at the first tuple that reaches it.
@@ -237,16 +256,8 @@ def _enumerate(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
         _index([a + b for a, b in zip(exps, h)], orders)
         for h in _span([a.brauer_class.exponents for a in base.algebras()], orders)
     )
-    cls = target.brauer_class
     best, best_tuple = math.inf, ()
-    for tup in itertools.product(range(1, q + 1), repeat=n):
-        r = n - 1
-        while r and tup[r] == 1:
-            r -= 1
-        cls = combine([(cls, 1), *tails[r]])
-        deficiency = 1
-        for table, ij in zip(deficiencies, tup):
-            deficiency *= table[ij]
+    for tup, deficiency, cls in _twists(target, base, s):
         # the index is at least 1, so only a deficiency below best can win
         if deficiency < best:
             value = deficiency * generic_index(cls)

@@ -233,6 +233,10 @@ MIXED_MODEL_CALLS = {
     "reduced_index": lambda b, x: g.reduced_index(b, _one(x)),
     "exists_rational_map": lambda b, x: g.exists_rational_map(_one(b), _one(x)),
     "equivalent": lambda b, x: g.equivalent(_one(b), _one(x)),
+    "has_rational_point_over": lambda b, x: g.has_rational_point_over(
+        g.GSBFactor(b, 1), _one(x)
+    ),
+    "relation_witness": lambda b, x: g.relation_witness(b, _one(x)),
     "classical_criterion": lambda b, x: g.classical_criterion([b], [x]),
     "mutual_relation_witness": lambda b, x: g.mutual_relation_witness([b], [x], 1),
     "UpperMotiveDescriptor": lambda b, x: g.UpperMotiveDescriptor(

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import random
 
 import pytest
 
@@ -257,8 +259,10 @@ class TestMutualRelationWitness:
             mutual_relation_witness([], [d1], 0)
 
 
+@functools.cache
 def _smallest_balanced_row(target, family, k):
-    """The oracle's lexicographically smallest balanced relation, or None."""
+    """The oracle's lexicographically smallest balanced relation, or None;
+    family is a tuple."""
     model = target.model
     rows = oracle_balanced_rows(
         model.prime,
@@ -275,39 +279,63 @@ def _one_exponent(family):
     return len({a.exponent for a in family}) == 1
 
 
-@pytest.mark.parametrize("model", ENUMERATED_MODELS, ids=str)
+# (Z/2)^3 also takes three-algebra families, so that the relation search is
+# checked at a carry into every entry of a three-entry row
+FAMILY_SIZES = {BrauerGroupModel(2, (2, 2, 2)): (1, 2, 3)}
+# p = 3 models: Z/9 x Z/3 has algebras of degree 27, whose two-algebra rows
+# take 27^2 tuples, so each case list here is cut to at most SAMPLE cases
+SAMPLED_MODELS = (BrauerGroupModel(3, (9,)), BrauerGroupModel(3, (9, 3)))
+SAMPLE = 12
+
+
+def _cases(model, cases, *key):
+    """The cases in full, or on a sampled model at most SAMPLE of them,
+    drawn with a seed fixed by the model and key."""
+    cases = list(cases)
+    if model not in SAMPLED_MODELS or len(cases) <= SAMPLE:
+        return cases
+    return random.Random(f"{model}:{key}").sample(cases, SAMPLE)
+
+
+@pytest.mark.parametrize("model", ENUMERATED_MODELS + SAMPLED_MODELS, ids=str)
 class TestBalancedRowsAgainstOracle:
-    """Both relation searches against brute force, on every equal-degree case
-    of the model with families of one or two algebras."""
+    """Both relation searches against brute force, on the equal-degree cases
+    of the model with families of one or two algebras (three on (Z/2)^3)."""
 
     def test_relation_witness(self, model):
+        sizes = FAMILY_SIZES.get(model, (1, 2))
         for s, algebras in by_degree(model).items():
-            for k, n in itertools.product(range(s), (1, 2)):
-                for family in itertools.product(algebras, repeat=n):
-                    biggest = max(a.exponent for a in family)
-                    for target in algebras:
-                        if target.exponent < biggest:
-                            continue
-                        got = relation_witness(target, uniform_product(family, k))
-                        assert got == _smallest_balanced_row(target, family, k)
+            for k, n in itertools.product(range(s), sizes):
+                cases = [
+                    (target, family)
+                    for family in itertools.product(algebras, repeat=n)
+                    for target in algebras
+                    if target.exponent >= max(a.exponent for a in family)
+                ]
+                for target, family in _cases(model, cases, s, k, n):
+                    got = relation_witness(target, uniform_product(family, k))
+                    assert got == _smallest_balanced_row(target, family, k)
 
     def test_mutual_relation_witness(self, model):
+        sizes = FAMILY_SIZES.get(model, (1, 2))
         for s, algebras in by_degree(model).items():
             families = [
                 family
-                for n in (1, 2)
+                for n in sizes
                 for family in itertools.combinations_with_replacement(algebras, n)
                 if _one_exponent(family)
             ]
-            for k, left, right in itertools.product(range(s), families, families):
-                got = mutual_relation_witness(left, right, k)
-                left_rows = [_smallest_balanced_row(d, right, k) for d in left]
-                right_rows = [_smallest_balanced_row(d, left, k) for d in right]
-                if None in left_rows + right_rows:
-                    assert got is None
-                else:
-                    assert got.left_over_right == tuple(left_rows)
-                    assert got.right_over_left == tuple(right_rows)
+            for k in range(s):
+                pairs = itertools.product(families, families)
+                for left, right in _cases(model, pairs, s, k):
+                    got = mutual_relation_witness(left, right, k)
+                    left_rows = [_smallest_balanced_row(d, right, k) for d in left]
+                    right_rows = [_smallest_balanced_row(d, left, k) for d in right]
+                    if None in left_rows + right_rows:
+                        assert got is None
+                    else:
+                        assert got.left_over_right == tuple(left_rows)
+                        assert got.right_over_left == tuple(right_rows)
 
 
 class TestDimension:

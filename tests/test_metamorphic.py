@@ -1,10 +1,12 @@
 """Metamorphic properties of the decisions.
 
-Relabelling the generators of a model (permuting their positions, and the
-exponents of every class with them) gives an isomorphic model, so no answer
-may change: reduced indices and their witnesses, equivalence of products and
-family verdicts.  Rational maps in both directions are also symmetric in the
-two products.
+Relabelling the generators of a model (scaling each generator by a unit,
+e_i -> u_i e_i with p not dividing u_i, and permuting their positions, the
+exponents of every class following) gives an isomorphic model that keeps
+every index, so no answer may change: reduced indices and their witnesses,
+equivalence of products and family verdicts.  Rational maps in both
+directions are also symmetric in the two products, and decided by the index
+profile: the reduced indices of the algebras of both products over each.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsbmaps import (
     BrauerGroupModel,
@@ -26,30 +30,44 @@ from gsbmaps import (
 from gsbmaps.reduction import reuses_reduced_index
 from helpers import by_degree
 
-MODELS = (BrauerGroupModel(2, (4, 2)), BrauerGroupModel(2, (2, 2, 2)))
+MODELS = (
+    BrauerGroupModel(2, (4, 2)),
+    BrauerGroupModel(2, (2, 2, 2)),
+    BrauerGroupModel(3, (3, 3)),
+)
+
+
+def _units(model):
+    """Every choice of one unit per generator."""
+    orders = model.generator_orders
+    return itertools.product(*([u for u in range(1, o) if u % model.prime] for o in orders))
+
 
 CASES = [
-    (model, perm)
+    (model, perm, units)
     for model in MODELS
     for perm in itertools.permutations(range(model.rank))
-    if perm != tuple(range(model.rank))
+    for units in _units(model)
+    if perm != tuple(range(model.rank)) or set(units) != {1}
 ]
 
 
 def _id(case) -> str:
-    model, perm = case
-    return f"{model}-{''.join(map(str, perm))}".replace(" ", "")
+    model, perm, units = case
+    scaled = "" if set(units) == {1} else "-u" + "".join(map(str, units))
+    return f"{model}-{''.join(map(str, perm))}{scaled}".replace(" ", "")
 
 
-def _relabel(model, perm):
-    """The map sending an algebra of model to its image in the model whose
-    generator i is generator perm[i] of model."""
+def _relabel(model, perm, units):
+    """The map sending an algebra of model to its image under e_j -> u_j e_j,
+    in the model whose generator i is generator perm[i] of model."""
     orders = model.generator_orders
     image = BrauerGroupModel(model.prime, tuple(orders[j] for j in perm))
 
     def algebra(a):
         exps = a.brauer_class.exponents
-        return division_algebra(image.element(tuple(exps[j] for j in perm)), a.label)
+        scaled = tuple(units[j] * exps[j] for j in perm)
+        return division_algebra(image.element(scaled), a.label)
 
     return algebra
 
@@ -99,9 +117,9 @@ def _unrelabelled(model):
 
 @pytest.mark.parametrize("case", CASES, ids=map(_id, CASES))
 def test_answers_invariant_under_relabelling(case):
-    model, perm = case
+    model, perm, units = case
     expected = _unrelabelled(model)
-    relabelled = _answers(model, _relabel(model, perm))
+    relabelled = _answers(model, _relabel(model, perm, units))
     assert {key[0] for key in expected} == {"index", "equivalent", "verdict"}
     assert relabelled == expected
 
@@ -114,3 +132,28 @@ def test_equivalent_symmetric(model):
     for s, algebras in by_degree(model).items():
         for x, y in itertools.combinations(_products(algebras, s), 2):
             assert equivalent(x, y).holds == equivalent(y, x).holds
+
+
+@st.composite
+def _products_of_one_degree(draw):
+    """Three products of one to three factors, over algebras of one degree
+    p^s of one model."""
+    model = draw(st.sampled_from((BrauerGroupModel(2, (2, 2)), *MODELS)))
+    s, algebras = draw(st.sampled_from(sorted(by_degree(model).items())))
+    factor = st.builds(GSBFactor, st.sampled_from(algebras), st.integers(0, s - 1))
+    product = st.lists(factor, min_size=1, max_size=3).map(
+        lambda factors: GSBProduct(tuple(factors))
+    )
+    return draw(st.tuples(product, product, product))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_products_of_one_degree())
+def test_index_profile_decides_equivalent(products):
+    for x, y in itertools.combinations(products, 2):
+        algebras = dict.fromkeys((*x.algebras(), *y.algebras()))
+        profiles = [tuple(reduced_index(e, w).value for e in algebras) for w in (x, y)]
+        assert (profiles[0] == profiles[1]) == equivalent(x, y).holds
+    x, y, z = products
+    if equivalent(x, y).holds and equivalent(y, z).holds:
+        assert equivalent(x, z).holds
