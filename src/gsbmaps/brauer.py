@@ -14,9 +14,9 @@ import bisect
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
+from ._value import Value
 from .errors import ModelMismatchError, PreconditionError
 
 # With the first 13 primes as bases, Miller-Rabin decides primality exactly
@@ -86,23 +86,18 @@ def _p_power_exponent(n: int, p: int) -> int | None:
     return e if n == p**e else None
 
 
-@dataclass(frozen=True)
-class BrauerGroupModel:
+class BrauerGroupModel(Value):
     """The subgroup of a Brauer group under study, given by generator orders.
 
     All orders are powers of one prime and strictly greater than 1.
     """
 
-    prime: int
-    generator_orders: tuple[int, ...]
+    __slots__ = ("prime", "generator_orders")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "prime", _integer(self.prime, "model prime"))
-        object.__setattr__(
-            self,
-            "generator_orders",
-            tuple(_integer(o, "generator order") for o in self.generator_orders),
-        )
+    def __init__(self, prime: int, generator_orders: tuple[int, ...]):
+        object.__setattr__(self, "prime", _integer(prime, "model prime"))
+        orders = tuple(_integer(o, "generator order") for o in generator_orders)
+        object.__setattr__(self, "generator_orders", orders)
         if not _is_prime(self.prime):
             raise PreconditionError(f"model prime must be a prime number, got {self.prime}")
         if not self.generator_orders:
@@ -139,8 +134,7 @@ class BrauerGroupModel:
         return " x ".join(f"Z/{o}" for o in self.generator_orders)
 
 
-@dataclass(frozen=True)
-class BrauerClass:
+class BrauerClass(Value):
     """An element of a BrauerGroupModel, as a canonical reduced exponent vector.
 
     The constructor validates and reduces its exponents.  The operators +, -
@@ -148,29 +142,39 @@ class BrauerClass:
     neither.
     """
 
-    group: BrauerGroupModel
-    exponents: tuple[int, ...]
+    __slots__ = ("group", "exponents")
 
-    def __post_init__(self) -> None:
-        orders = self.group.generator_orders
-        exps = tuple(_integer(e, "exponent") for e in self.exponents)
+    def __init__(self, group: BrauerGroupModel, exponents: tuple[int, ...]):
+        orders = group.generator_orders
+        exps = tuple(_integer(e, "exponent") for e in exponents)
         if len(exps) != len(orders):
             raise PreconditionError(
                 f"expected {len(orders)} exponents, got {len(exps)}"
             )
-        object.__setattr__(
-            self, "exponents", tuple(e % o for e, o in zip(exps, orders))
-        )
+        reduced = tuple(e % o for e, o in zip(exps, orders))
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "exponents", reduced)
 
     @classmethod
     def _reduced(
         cls, group: BrauerGroupModel, exponents: tuple[int, ...]
     ) -> BrauerClass:
         # exponents must be a tuple of ints already in [0, order) for group;
-        # the fields of the frozen instance are written directly
+        # the slots of the frozen instance are written directly
         obj = object.__new__(cls)
-        obj.__dict__.update(group=group, exponents=exponents)
+        object.__setattr__(obj, "group", group)
+        object.__setattr__(obj, "exponents", exponents)
         return obj
+
+    # written out for speed; equal classes have equal exponents, so the
+    # hash leaves the model out
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.exponents, self.group) == (other.exponents, other.group)
+
+    def __hash__(self) -> int:
+        return hash(self.exponents)
 
     @property
     def is_zero(self) -> bool:
@@ -270,22 +274,22 @@ def _index(exponents: Iterable[int], orders: tuple[int, ...]) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(Value, compare=("brauer_class", "degree_exponent")):
     """A division algebra: a Brauer class plus its degree p**degree_exponent.
 
     Division means the model index of the class equals the declared degree.
     The label is display-only and ignored by equality.
     """
 
-    brauer_class: BrauerClass
-    degree_exponent: int
-    label: str | None = field(default=None, compare=False)
+    __slots__ = ("brauer_class", "degree_exponent", "label")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "degree_exponent", _integer(self.degree_exponent, "degree exponent")
-        )
+    def __init__(
+        self, brauer_class: BrauerClass, degree_exponent: int, label: str | None = None
+    ):
+        degree_exponent = _integer(degree_exponent, "degree exponent")
+        object.__setattr__(self, "brauer_class", brauer_class)
+        object.__setattr__(self, "degree_exponent", degree_exponent)
+        object.__setattr__(self, "label", label)
         if self.degree_exponent < 0:
             raise PreconditionError("degree exponent must be nonnegative")
         declared = self.prime ** self.degree_exponent
@@ -326,8 +330,7 @@ def division_algebra(c: BrauerClass, label: str | None = None) -> AlgebraSpec:
     return AlgebraSpec(c, vp(generic_index(c), c.group.prime), label)
 
 
-def _class_key(c: BrauerClass) -> tuple[int, ...]:
-    return c.exponents
+_class_key = operator.attrgetter("exponents")
 
 
 def _span(
@@ -362,8 +365,7 @@ def _span(
     return span
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Value):
     """An enumerated subgroup of a model, canonically sorted.
 
     Closure is validated by spanning the set from a greedy generating set,
@@ -372,12 +374,11 @@ class Subgroup:
     binary search over the sorted exponent vectors: O(log |H|) comparisons.
     """
 
-    group: BrauerGroupModel
-    elements: tuple[BrauerClass, ...]
+    __slots__ = ("group", "elements")
 
-    def __post_init__(self) -> None:
-        group = self.group
-        elems = tuple(sorted(set(self.elements), key=_class_key))
+    def __init__(self, group: BrauerGroupModel, elements: tuple[BrauerClass, ...]):
+        elems = tuple(sorted(set(elements), key=_class_key))
+        object.__setattr__(self, "group", group)
         object.__setattr__(self, "elements", elems)
         same_model([group, *(a.group for a in elems)], "subgroup elements")
         members = {a.exponents for a in elems}

@@ -16,7 +16,6 @@ import argparse
 import functools
 import json
 import sys
-from importlib import resources
 from typing import Any, Callable, Sequence
 
 from .brauer import Subgroup, subgroup_generated, subgroups_equal
@@ -45,6 +44,7 @@ EXIT_INVARIANT = 4
 
 def load_bundled_instance(name: str) -> Instance:
     """Load one of the fixtures shipped inside the package."""
+    from importlib import resources  # only verify-examples pays for it
     path = resources.files("gsbmaps").joinpath("fixtures").joinpath(name)
     doc = json.loads(path.read_text(encoding="utf-8"))
     return load_instance(doc, source=f"bundled:{name}")

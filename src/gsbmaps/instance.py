@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+from ._value import Record
 from .brauer import AlgebraSpec, BrauerClass, BrauerGroupModel, _p_power_exponent
 from .errors import InstanceFormatError, PreconditionError
 from .reduction import GSBFactor, GSBProduct
@@ -52,16 +52,20 @@ def _check_name(name: Any, what: str) -> str:
     return name
 
 
-@dataclass
-class Instance:
+class Instance(Record):
     """A loaded instance: the group model plus named algebras and varieties.
 
     algebras maps every algebra name and every alias to its AlgebraSpec.
     """
 
-    model: BrauerGroupModel
-    algebras: dict[str, AlgebraSpec]
-    varieties: dict[str, GSBProduct] = field(default_factory=dict)
+    __slots__ = ("model", "algebras", "varieties")
+
+    def __init__(
+        self, model: BrauerGroupModel, algebras: dict, varieties: dict | None = None
+    ):
+        self.model = model
+        self.algebras = algebras
+        self.varieties = {} if varieties is None else varieties
 
     def algebra(self, name: str) -> AlgebraSpec:
         """Resolve an algebra by name or alias."""

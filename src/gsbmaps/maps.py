@@ -12,9 +12,9 @@ because outside the hypotheses the criteria are inapplicable, not negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._value import Value
 from .brauer import AlgebraSpec, same_model, subgroup_generated, subgroups_equal
 from .errors import InvariantViolation, PreconditionError
 from .reduction import (
@@ -27,30 +27,38 @@ from .reduction import (
 )
 
 
-@dataclass(frozen=True)
-class FactorWitness:
+class FactorWitness(Value):
     """Reduced-index certificate for one target factor over a base product."""
 
-    factor: GSBFactor
-    has_point: bool
-    index: int
-    witness: tuple[int, ...]
+    __slots__ = ("factor", "has_point", "index", "witness")
+
+    def __init__(self, factor: GSBFactor, has_point: bool, index: int, witness: tuple):
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "has_point", has_point)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class DirectionReport:
+class DirectionReport(Value):
     """One direction of a rational-map decision, factor by factor."""
 
-    exists: bool
-    factors: tuple[FactorWitness, ...]
+    __slots__ = ("exists", "factors")
+
+    def __init__(self, exists: bool, factors: tuple[FactorWitness, ...]):
+        object.__setattr__(self, "exists", exists)
+        object.__setattr__(self, "factors", factors)
 
 
-@dataclass(frozen=True)
-class RationalMapReport:
+class RationalMapReport(Value):
     """Outcome of a rational-map query; backward is None for one-way queries."""
 
-    forward: DirectionReport
-    backward: Optional[DirectionReport] = None
+    __slots__ = ("forward", "backward")
+
+    def __init__(
+        self, forward: DirectionReport, backward: Optional[DirectionReport] = None
+    ):
+        object.__setattr__(self, "forward", forward)
+        object.__setattr__(self, "backward", backward)
 
     @property
     def holds(self) -> bool:
@@ -161,16 +169,18 @@ def relation_witness(
     return row
 
 
-@dataclass(frozen=True)
-class MutualRelation:
+class MutualRelation(Value):
     """Balanced relation matrices certifying equivalence of two k-products.
 
     Row i of left_over_right expresses the i-th left class over the right
     family; right_over_left is the symmetric certificate.
     """
 
-    left_over_right: tuple[tuple[int, ...], ...]
-    right_over_left: tuple[tuple[int, ...], ...]
+    __slots__ = ("left_over_right", "right_over_left")
+
+    def __init__(self, left_over_right: tuple, right_over_left: tuple):
+        object.__setattr__(self, "left_over_right", left_over_right)
+        object.__setattr__(self, "right_over_left", right_over_left)
 
 
 def mutual_relation_witness(

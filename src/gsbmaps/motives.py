@@ -9,10 +9,10 @@ both directions between the underlying products.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
+from ._value import Value
 from .brauer import AlgebraSpec, same_model, subgroup_generated, subgroups_equal
 from .errors import PreconditionError
 from .maps import equivalent
@@ -23,18 +23,17 @@ def _factor_key(f: GSBFactor) -> tuple[int, int, tuple[int, ...]]:
     return (f.k, f.algebra.degree_exponent, f.algebra.brauer_class.exponents)
 
 
-@dataclass(frozen=True)
-class UpperMotiveDescriptor:
+class UpperMotiveDescriptor(Value):
     """Canonical name of the upper summand of the motive of a product.
 
     Factors are sorted so equal products get equal names; all semantics go
     through the rational-map decision, never through the name itself.
     """
 
-    factors: tuple[GSBFactor, ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self) -> None:
-        factors = tuple(sorted(self.factors, key=_factor_key))
+    def __init__(self, factors: tuple[GSBFactor, ...]):
+        factors = tuple(sorted(factors, key=_factor_key))
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise PreconditionError("a motive descriptor needs at least one factor")
@@ -79,14 +78,22 @@ class FamilyVerdict(Enum):
     PARTIAL = "PARTIAL"
 
 
-@dataclass(frozen=True)
-class FamilyComparison:
+class FamilyComparison(Value):
     """Outcome of matching two families' upper-motive sets against each other."""
 
-    verdict: FamilyVerdict
-    shared: tuple[tuple[UpperMotiveDescriptor, UpperMotiveDescriptor], ...]
-    unmatched_left: tuple[UpperMotiveDescriptor, ...]
-    unmatched_right: tuple[UpperMotiveDescriptor, ...]
+    __slots__ = ("verdict", "shared", "unmatched_left", "unmatched_right")
+
+    def __init__(
+        self,
+        verdict: FamilyVerdict,
+        shared: tuple[tuple[UpperMotiveDescriptor, UpperMotiveDescriptor], ...],
+        unmatched_left: tuple[UpperMotiveDescriptor, ...],
+        unmatched_right: tuple[UpperMotiveDescriptor, ...],
+    ):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "shared", shared)
+        object.__setattr__(self, "unmatched_left", unmatched_left)
+        object.__setattr__(self, "unmatched_right", unmatched_right)
 
     @property
     def separating(self) -> Optional[UpperMotiveDescriptor]:

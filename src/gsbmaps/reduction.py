@@ -42,9 +42,9 @@ import functools
 import itertools
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
+from ._value import Value
 from .brauer import (
     AlgebraSpec,
     BrauerGroupModel,
@@ -58,8 +58,7 @@ from .brauer import (
 from .errors import InvariantViolation, PreconditionError
 
 
-@dataclass(frozen=True)
-class GSBFactor:
+class GSBFactor(Value):
     """X(p^k; D): right ideals of reduced dimension p^k in a division algebra D.
 
     The constructor is the one home of the rule on k: an integer with
@@ -68,11 +67,11 @@ class GSBFactor:
     check it by building a GSBFactor.
     """
 
-    algebra: AlgebraSpec
-    k: int
+    __slots__ = ("algebra", "k")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", _integer(self.k, "k"))
+    def __init__(self, algebra: AlgebraSpec, k: int):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "k", _integer(k, "k"))
         if not 0 <= self.k < self.algebra.degree_exponent:
             raise PreconditionError(
                 f"k={self.k} out of range for an algebra of degree "
@@ -95,14 +94,13 @@ class GSBFactor:
         return f"X({self.reduced_dim};{self.algebra})"
 
 
-@dataclass(frozen=True)
-class GSBProduct:
+class GSBProduct(Value):
     """Nonempty product of generalized Severi-Brauer factors over one model."""
 
-    factors: tuple[GSBFactor, ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(self.factors))
+    def __init__(self, factors: tuple[GSBFactor, ...]):
+        object.__setattr__(self, "factors", tuple(factors))
         if not self.factors:
             raise PreconditionError("a product needs at least one factor")
         same_model([f.model for f in self.factors], "factors")

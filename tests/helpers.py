@@ -1,7 +1,8 @@
 """Shared model builders and brute-force oracles.
 
-The oracles work on raw exponent tuples with repeated table addition and
-math.gcd only, so they stay independent of the library code they check.
+The oracles work on raw exponent tuples with table addition, coordinatewise
+multiples and math.gcd only, so they stay independent of the library code
+they check.
 """
 
 from __future__ import annotations
@@ -24,23 +25,13 @@ def table_add(orders, a, b):
     return tuple((x + y) % o for x, y, o in zip(a, b, orders))
 
 
-def table_neg(orders, a):
-    return tuple((-x) % o for x, o in zip(a, orders))
-
-
 def table_zero(orders):
     return (0,) * len(orders)
 
 
 def scalar_multiple(orders, a, coeff):
-    """coeff * a computed by repeated addition, negating first if needed."""
-    if coeff < 0:
-        a = table_neg(orders, a)
-        coeff = -coeff
-    acc = table_zero(orders)
-    for _ in range(coeff):
-        acc = table_add(orders, acc, a)
-    return acc
+    """coeff * a in closed form: coeff * a_i mod o_i in each coordinate."""
+    return tuple(coeff * x % o for x, o in zip(a, orders))
 
 
 def oracle_combine(orders, terms):

@@ -285,7 +285,7 @@ FAMILY_SIZES = {BrauerGroupModel(2, (2, 2, 2)): (1, 2, 3)}
 # p = 3 models: Z/9 x Z/3 has algebras of degree 27, whose two-algebra rows
 # take 27^2 tuples, so each case list here is cut to at most SAMPLE cases
 SAMPLED_MODELS = (BrauerGroupModel(3, (9,)), BrauerGroupModel(3, (9, 3)))
-SAMPLE = 12
+SAMPLE = 24
 
 
 def _cases(model, cases, *key):
