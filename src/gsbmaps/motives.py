@@ -13,9 +13,9 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from ._value import Value
-from .brauer import AlgebraSpec, same_model, subgroup_generated, subgroups_equal
+from .brauer import AlgebraSpec, same_model
 from .errors import PreconditionError
-from .maps import equivalent
+from .maps import classical_criterion, equivalent
 from .reduction import GSBFactor, GSBProduct, common_degree, reuses_reduced_index
 
 
@@ -66,10 +66,7 @@ def classify_single(d: AlgebraSpec, k: int, d2: AlgebraSpec, k2: int) -> bool:
     k = GSBFactor(d, k).k
     k2 = GSBFactor(d2, k2).k
     same_model([d.model, d2.model], "algebras")
-    return k == k2 and subgroups_equal(
-        subgroup_generated([d.brauer_class]),
-        subgroup_generated([d2.brauer_class]),
-    )
+    return k == k2 and classical_criterion([d], [d2])
 
 
 class FamilyVerdict(Enum):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -454,3 +455,27 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "all claims hold" in proc.stdout
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [["--json", "verify-examples"], ["subgroup", "--generators", "Δ1,Δ2"]],
+        ids=["verify-examples", "subgroup"],
+    )
+    def test_reader_gone_ends_quietly(self, biq_path, argv):
+        # the read end is closed before the process starts, so every write
+        # to stdout meets a broken pipe
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gsbmaps", "-i", biq_path, *argv],
+                stdout=write_fd,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_fd)
+        assert proc.returncode == 0
+        assert proc.stderr == ""

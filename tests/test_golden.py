@@ -4,17 +4,20 @@ Each case's stdout is stored byte for byte in tests/golden/<fixture>/<case>.txt
 (text mode) or .json (--json mode); tests/golden/exit_codes.json holds the
 exit code of every case.  The goldens were recorded once and are never
 rewritten by the suite, so any change to a report's bytes fails here.
+tests/golden/cli_parser.json holds the shape of the argument parser: its
+global options, then each command with its help and options.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from gsbmaps.cli import _text, main
+from gsbmaps.cli import _text, build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -85,3 +88,40 @@ def test_text_renders_json(pair):
     payload = json.loads((GOLDEN_DIR / f"{pair}.json").read_text(encoding="utf-8"))
     text = (GOLDEN_DIR / f"{pair}.txt").read_text(encoding="utf-8")
     assert "\n".join(_text(payload)) + "\n" == text
+
+
+def _options(parser: argparse.ArgumentParser) -> list[dict]:
+    return [
+        {
+            "option_strings": action.option_strings,
+            "required": action.required,
+            "metavar": action.metavar,
+            "help": action.help,
+        }
+        for action in parser._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    ]
+
+
+def parser_shape(parser: argparse.ArgumentParser) -> dict:
+    """Global options and each command's help and options, in order.
+
+    Unlike the --help screens, this does not change across Python versions.
+    """
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        "options": _options(parser),
+        "commands": [
+            {
+                "command": choice.dest,
+                "help": choice.help,
+                "options": _options(sub.choices[choice.dest]),
+            }
+            for choice in sub._choices_actions
+        ],
+    }
+
+
+def test_parser_matches_golden():
+    golden = json.loads((GOLDEN_DIR / "cli_parser.json").read_text(encoding="utf-8"))
+    assert parser_shape(build_parser()) == golden
