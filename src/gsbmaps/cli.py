@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Each command returns its report as the payload that --json prints; main
-prints that payload or the text that _text renders from it alone, so every
-fact in a text report is also in its JSON.
+main loads the instance once; each command returns its report as the payload
+that --json prints, and main writes that payload or the text that _text
+renders from it alone, so every fact in a text report is also in its JSON.
 
 Exit codes: 0 on a successful computation (the boolean answer lives in the
 report, not the exit code), 2 on parse errors, 3 on precondition or
@@ -51,14 +51,6 @@ def load_bundled_instance(name: str) -> Instance:
     return load_instance(doc, source=f"bundled:{name}")
 
 
-def _require_instance(args: argparse.Namespace) -> Instance:
-    if not args.instance:
-        raise InstanceFormatError(
-            "this command needs an instance file (pass --instance PATH)"
-        )
-    return parse_instance(args.instance)
-
-
 def _direction_payload(rep: DirectionReport, source: str, target: str) -> dict:
     return {
         "source": source,
@@ -76,8 +68,8 @@ def _direction_payload(rep: DirectionReport, source: str, target: str) -> dict:
     }
 
 
-def _cmd_index(args: argparse.Namespace) -> dict:
-    alg = _require_instance(args).algebra(args.algebra)
+def _cmd_index(args: argparse.Namespace, inst: Instance) -> dict:
+    alg = inst.algebra(args.algebra)
     return {
         "command": "index",
         "algebra": args.algebra,
@@ -87,8 +79,8 @@ def _cmd_index(args: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_exponent(args: argparse.Namespace) -> dict:
-    alg = _require_instance(args).algebra(args.algebra)
+def _cmd_exponent(args: argparse.Namespace, inst: Instance) -> dict:
+    alg = inst.algebra(args.algebra)
     return {
         "command": "exponent",
         "algebra": args.algebra,
@@ -104,8 +96,7 @@ def _subgroup(inst: Instance, names: str) -> tuple[Subgroup, dict[str, Any]]:
     return sub, {"generators": names, "order": len(sub), "elements": elements}
 
 
-def _cmd_subgroup(args: argparse.Namespace) -> dict:
-    inst = _require_instance(args)
+def _cmd_subgroup(args: argparse.Namespace, inst: Instance) -> dict:
     sub, payload = _subgroup(inst, args.generators)
     payload["command"] = "subgroup"
     if args.equals is not None:
@@ -114,8 +105,7 @@ def _cmd_subgroup(args: argparse.Namespace) -> dict:
     return payload
 
 
-def _cmd_reduced_index(args: argparse.Namespace) -> dict:
-    inst = _require_instance(args)
+def _cmd_reduced_index(args: argparse.Namespace, inst: Instance) -> dict:
     target = inst.algebra(args.target)
     base = inst.product(args.base)
     result = reduced_index(target, base)
@@ -128,8 +118,7 @@ def _cmd_reduced_index(args: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_rational_map(args: argparse.Namespace) -> dict:
-    inst = _require_instance(args)
+def _cmd_rational_map(args: argparse.Namespace, inst: Instance) -> dict:
     source = inst.product(args.source)
     target = inst.product(args.target)
     rep = exists_rational_map(source, target)
@@ -142,8 +131,7 @@ def _cmd_rational_map(args: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_equivalent(args: argparse.Namespace) -> dict:
-    inst = _require_instance(args)
+def _cmd_equivalent(args: argparse.Namespace, inst: Instance) -> dict:
     left = inst.product(args.left)
     right = inst.product(args.right)
     rep = equivalent(left, right)
@@ -188,8 +176,7 @@ def _relations_if_applicable(left: GSBProduct, right: GSBProduct):
     return True, relation
 
 
-def _cmd_motive_iso(args: argparse.Namespace) -> dict:
-    inst = _require_instance(args)
+def _cmd_motive_iso(args: argparse.Namespace, inst: Instance) -> dict:
     left = upper_motive(inst.product(args.left))
     right = upper_motive(inst.product(args.right))
     return {
@@ -200,8 +187,7 @@ def _cmd_motive_iso(args: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_compare_families(args: argparse.Namespace) -> dict:
-    inst = _require_instance(args)
+def _cmd_compare_families(args: argparse.Namespace, inst: Instance) -> dict:
     comp = compare_families(inst.algebra_list(args.left), inst.algebra_list(args.right))
     return {
         "command": "compare-families",
@@ -281,16 +267,15 @@ def _mixed_exponent_claims(inst: Instance) -> list[tuple[str, Callable[[], bool]
     ]
 
 
-def _cmd_verify_examples(args: argparse.Namespace) -> dict:
+def _cmd_verify_examples(args: argparse.Namespace, inst: None) -> dict:
     fixtures = [
         ("biquaternion.json", _biquaternion_claims),
         ("mixed_exponent.json", _mixed_exponent_claims),
     ]
     report = []
     for name, claim_builder in fixtures:
-        inst = load_bundled_instance(name)
         claims = []
-        for description, thunk in claim_builder(inst):
+        for description, thunk in claim_builder(load_bundled_instance(name)):
             try:
                 ok = bool(thunk())
             except GsbError as exc:
@@ -453,31 +438,42 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    stream = sys.stderr
     try:
-        payload = args.func(args)
+        if args.command == "verify-examples":  # loads its bundled fixtures
+            inst = None
+        elif args.instance:
+            inst = parse_instance(args.instance)
+        else:
+            raise InstanceFormatError(
+                "this command needs an instance file (pass --instance PATH)"
+            )
+        payload = args.func(args, inst)
     except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        code, text = EXIT_PARSE, f"error: {exc}"
     except InvariantViolation as exc:
-        print(f"internal invariant failure: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        code, text = EXIT_INVARIANT, f"internal invariant failure: {exc}"
     except GsbError as exc:
         # precondition, hypothesis, model-mismatch and unsupported-model errors
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    if args.json:
-        report = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
+        code, text = EXIT_PRECONDITION, f"error: {exc}"
     else:
-        report = "\n".join(_text(payload))
+        stream = sys.stdout
+        if args.json:
+            text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
+        else:
+            text = "\n".join(_text(payload))
+        # verify-examples reports a mismatch as "pass": false
+        code = EXIT_INVARIANT if payload.get("pass") is False else EXIT_OK
     try:
-        print(report)
-        sys.stdout.flush()
+        print(text, file=stream)
+        stream.flush()
     except BrokenPipeError:
         # the reader has gone: send what is left to devnull, so the flush
         # at exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    # verify-examples reports a mismatch as "pass": false
-    return EXIT_INVARIANT if payload.get("pass") is False else EXIT_OK
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

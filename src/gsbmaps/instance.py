@@ -196,7 +196,7 @@ def load_instance(doc: Any, source: str = "<instance>") -> Instance:
                 raise InstanceFormatError(f"{what}: expression must be a string")
             try:
                 instance.varieties[vname] = parse_variety_expression(text, instance)
-            except InstanceFormatError as exc:
+            except (InstanceFormatError, PreconditionError) as exc:
                 raise InstanceFormatError(f"{what}: {exc}") from exc
     return instance
 

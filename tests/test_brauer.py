@@ -210,6 +210,16 @@ class TestArithmeticResults:
         with pytest.raises(ModelMismatchError):
             a - b
 
+    @pytest.mark.parametrize(
+        "op",
+        [lambda x: x + 1, lambda x: x - "a", lambda x: x * 1.5, lambda x: 1.5 * x],
+        ids=["add-int", "sub-str", "mul-float", "rmul-float"],
+    )
+    def test_non_class_operands_rejected(self, op):
+        x = BrauerGroupModel(2, (4, 2)).element((1, 1))
+        with pytest.raises(TypeError):
+            op(x)
+
 
 def _one(d):
     return g.GSBProduct((g.GSBFactor(d, 1),))
@@ -341,6 +351,11 @@ class TestAlgebraSpec:
         m, d1, _, _ = biquaternion_model()
         with pytest.raises(PreconditionError, match="not a division algebra"):
             AlgebraSpec(d1.brauer_class, 3)  # declared degree 8, index 4
+
+    def test_negative_degree_exponent(self):
+        c = BrauerGroupModel(2, (2,)).element((1,))
+        with pytest.raises(PreconditionError, match="degree exponent must be nonnegative"):
+            AlgebraSpec(c, -1)
 
     def test_division_algebra_helper(self):
         m = BrauerGroupModel(2, (4, 2))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import subprocess
@@ -155,6 +156,16 @@ class TestReports:
         payload = json.loads(out)
         assert payload["equivalent"] is False
         assert payload["relations"] is None
+
+    def test_equivalent_relations_omitted_for_mixed_k(self, capsys, biq_path):
+        # the relation criterion needs one k across all factors
+        argv = ["equivalent", "--left", "X(1;Δ1) x X(2;Δ2)", "--right", "X(1;Δ1) x X(2;Δ3)"]
+        code, out, _ = run_cli(capsys, "-i", biq_path, "--json", *argv)
+        assert code == 0
+        assert "relations" not in json.loads(out)
+        code, out, _ = run_cli(capsys, "-i", biq_path, *argv)
+        assert code == 0
+        assert "balanced relations" not in out
 
     def test_index_and_exponent(self, capsys, mixed_path):
         code, out, _ = run_cli(capsys, "-i", mixed_path, "index", "--algebra", "D1")
@@ -354,6 +365,21 @@ class TestExitCodes:
         assert code == 4
         assert "FAIL" in out
 
+    def test_invariant_violation_in_a_command(self, capsys, monkeypatch, biq_path):
+        import gsbmaps.cli as cli_mod
+        from gsbmaps.errors import InvariantViolation
+
+        def broken(target, base):
+            raise InvariantViolation("boom")
+
+        monkeypatch.setattr(cli_mod, "reduced_index", broken)
+        code, out, err = run_cli(
+            capsys, "-i", biq_path, "reduced-index", "--target", "Δ1", "--base", "X(1;Δ2)"
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "internal invariant failure: boom\n"
+
     def test_unknown_algebra_name(self, capsys, biq_path):
         code, _, err = run_cli(capsys, "-i", biq_path, "index", "--algebra", "Δ9")
         assert code == 2
@@ -479,3 +505,41 @@ class TestClosedStdout:
             os.close(write_fd)
         assert proc.returncode == 0
         assert proc.stderr == ""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_reader_gone_in_process_leaks_no_descriptor(self):
+        before = len(os.listdir("/proc/self/fd"))
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        with open(write_fd, "w", encoding="utf-8") as stdout:
+            with contextlib.redirect_stdout(stdout):
+                code = main(["verify-examples"])
+        assert code == 0
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
+class TestClosedStderr:
+    @pytest.mark.parametrize(
+        "with_instance, argv, code",
+        [
+            (False, ["index", "--algebra", "D1"], 2),
+            (True, ["reduced-index", "--target", "Δ1", "--base", "X(4;Δ2)"], 3),
+        ],
+        ids=["no-instance", "out-of-range"],
+    )
+    def test_reader_gone_keeps_exit_code(self, biq_path, with_instance, argv, code):
+        if with_instance:
+            argv = ["-i", biq_path, *argv]
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gsbmaps", *argv],
+                stdout=subprocess.PIPE,
+                stderr=write_fd,
+                text=True,
+            )
+        finally:
+            os.close(write_fd)
+        assert proc.returncode == code
+        assert proc.stdout == ""

@@ -183,6 +183,10 @@ LOAD_ERRORS = {
         "variety 'v': expression must be a string",
     ),
     "malformed-variety": (_set(("varieties",), {"v": "X(2;Δ1"}), "variety 'v': "),
+    "out-of-range-variety": (
+        _set(("varieties",), {"v": "X(4;Δ1)"}),
+        "variety 'v': k=2 out of range",
+    ),
     "empty-algebra-list": (
         lambda: load_instance(_biquaternion_doc()).algebra_list(" , "),
         "empty algebra list",
