@@ -3,6 +3,8 @@
 main loads the instance once; each command returns its report as the payload
 that --json prints, and main writes that payload or the text that _text
 renders from it alone, so every fact in a text report is also in its JSON.
+verify-examples holds no claims of its own: it runs the "claims" of each
+bundled fixture through these same commands, and _run serves both it and main.
 
 Exit codes: 0 on a successful computation (the boolean answer lives in the
 report, not the exit code), 2 on parse errors, 3 on precondition or
@@ -17,7 +19,7 @@ import functools
 import json
 import os
 import sys
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .brauer import Subgroup, subgroup_generated, subgroups_equal
 from .errors import (
@@ -29,7 +31,6 @@ from .errors import (
 from .instance import Instance, load_instance, parse_instance
 from .maps import (
     DirectionReport,
-    classical_criterion,
     equivalent,
     exists_rational_map,
     mutual_relation_witness,
@@ -43,12 +44,17 @@ EXIT_PRECONDITION = 3
 EXIT_INVARIANT = 4
 
 
+def _bundled_docs() -> dict[str, Any]:
+    """The decoded *.json fixtures shipped inside the package, by file name."""
+    from importlib import resources  # only verify-examples pays for it
+    paths = resources.files("gsbmaps").joinpath("fixtures").iterdir()
+    fixtures = [path for path in paths if path.name.endswith(".json")]
+    return {p.name: json.loads(p.read_text(encoding="utf-8")) for p in fixtures}
+
+
 def load_bundled_instance(name: str) -> Instance:
     """Load one of the fixtures shipped inside the package."""
-    from importlib import resources  # only verify-examples pays for it
-    path = resources.files("gsbmaps").joinpath("fixtures").joinpath(name)
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    return load_instance(doc, source=f"bundled:{name}")
+    return load_instance(_bundled_docs()[name], source=f"bundled:{name}")
 
 
 def _direction_payload(rep: DirectionReport, source: str, target: str) -> dict:
@@ -201,87 +207,42 @@ def _cmd_compare_families(args: argparse.Namespace, inst: Instance) -> dict:
     }
 
 
-def _expects_precondition(thunk: Callable[[], Any]) -> bool:
+_ABSENT = object()
+
+
+def _field(payload: dict, path: str) -> Any:
+    """The payload value at a dotted path such as "equals.equal", or _ABSENT."""
     try:
-        thunk()
-    except PreconditionError:
-        return True
-    except GsbError:
-        return False
-    return False
-
-
-def _biquaternion_claims(inst: Instance) -> list[tuple[str, Callable[[], bool]]]:
-    d1, d2, d3 = (inst.algebra(n) for n in ("Δ1", "Δ2", "Δ3"))
-    k0_left = inst.product("X(1;Δ1) x X(1;Δ2)")
-    k0_right = inst.product("X(1;Δ1) x X(1;Δ3)")
-    left = inst.product("X(2;Δ1) x X(2;Δ2)")
-    target = inst.product("X(2;Δ3)")
-    return [
-        (
-            "classes of {Δ1,Δ2} and {Δ1,Δ3} generate the same subgroup",
-            lambda: classical_criterion([d1, d2], [d1, d3]) is True,
-        ),
-        (
-            "mutual rational maps between the classical (k=0) products",
-            lambda: equivalent(k0_left, k0_right).holds,
-        ),
-        (
-            "no rational map X(2;Δ1) x X(2;Δ2) --> X(2;Δ3)",
-            lambda: not exists_rational_map(left, target).holds,
-        ),
-        (
-            "reduced index of Δ3 over F(X(2;Δ1) x X(2;Δ2)) is exactly 4",
-            lambda: reduced_index(d3, left).value == 4,
-        ),
-    ]
-
-
-def _mixed_exponent_claims(inst: Instance) -> list[tuple[str, Callable[[], bool]]]:
-    d1, d2, d3 = (inst.algebra(n) for n in ("D1", "D2", "D3"))
-    left = inst.product("X(2;D1) x X(2;D2)")
-    right = inst.product("X(2;D1) x X(2;D3)")
-    return [
-        (
-            "indices of (D1, D2, D3) are exactly (4, 4, 4)",
-            lambda: (d1.index, d2.index, d3.index) == (4, 4, 4),
-        ),
-        (
-            "exponents of (D1, D2, D3) are exactly (4, 2, 2)",
-            lambda: (d1.exponent, d2.exponent, d3.exponent) == (4, 2, 2),
-        ),
-        (
-            "subgroups generated by {D1,D2} and {D1,D3} do not coincide",
-            lambda: not classical_criterion([d1, d2], [d1, d3]),
-        ),
-        (
-            "mutual rational maps between X(2;D1) x X(2;D2) and X(2;D1) x X(2;D3)",
-            lambda: equivalent(left, right).holds,
-        ),
-        (
-            "mutual relation criterion rejects the unequal exponents",
-            lambda: _expects_precondition(
-                lambda: mutual_relation_witness([d1, d2], [d1, d3], 1)
-            ),
-        ),
-    ]
+        return functools.reduce(dict.__getitem__, path.split("."), payload)
+    except (KeyError, TypeError):
+        return _ABSENT
 
 
 def _cmd_verify_examples(args: argparse.Namespace, inst: None) -> dict:
-    fixtures = [
-        ("biquaternion.json", _biquaternion_claims),
-        ("mixed_exponent.json", _mixed_exponent_claims),
-    ]
+    """Run each bundled fixture's claims through the commands on that fixture.
+
+    A claim holds when each of its runs, a command's argv run once per
+    fixture, exits 0 with the payload fields it "shows" and none it "lacks".
+    """
     report = []
-    for name, claim_builder in fixtures:
+    for name, doc in sorted(_bundled_docs().items()):
+        fixture = load_instance(doc, source=f"bundled:{name}")
+        outcomes: dict[tuple[str, ...], tuple[int, Any]] = {}
         claims = []
-        for description, thunk in claim_builder(load_bundled_instance(name)):
-            try:
-                ok = bool(thunk())
-            except GsbError as exc:
-                ok = False
-                description = f"{description} (error: {exc})"
-            claims.append({"claim": description, "pass": ok})
+        for claim in doc["claims"]:
+            text, ok = claim["claim"], True
+            for run in claim["runs"]:
+                argv = tuple(run["argv"])
+                if argv not in outcomes:
+                    outcomes[argv] = _run(build_parser().parse_args(argv), fixture)
+                code, result = outcomes[argv]
+                if code != EXIT_OK:
+                    ok, text = False, f"{text} (error: {result})"
+                    break
+                shows, lacks = run.get("shows", {}), run.get("lacks", [])
+                ok = ok and all(_field(result, k) == v for k, v in shows.items())
+                ok = ok and all(_field(result, k) is _ABSENT for k in lacks)
+            claims.append({"claim": text, "pass": ok})
         report.append({"fixture": name, "claims": claims})
     all_ok = all(c["pass"] for f in report for c in f["claims"])
     return {"command": "verify-examples", "fixtures": report, "pass": all_ok}
@@ -436,34 +397,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    stream = sys.stderr
+def _run(args: argparse.Namespace, inst: Instance | None) -> tuple[int, Any]:
+    """Run a parsed command: (0, its payload), or (exit code, error message)."""
     try:
-        if args.command == "verify-examples":  # loads its bundled fixtures
-            inst = None
-        elif args.instance:
+        if inst is None and args.command != "verify-examples":
+            if not args.instance:
+                raise InstanceFormatError(
+                    "this command needs an instance file (pass --instance PATH)"
+                )
             inst = parse_instance(args.instance)
-        else:
-            raise InstanceFormatError(
-                "this command needs an instance file (pass --instance PATH)"
-            )
-        payload = args.func(args, inst)
+        return EXIT_OK, args.func(args, inst)
     except InstanceFormatError as exc:
-        code, text = EXIT_PARSE, f"error: {exc}"
+        return EXIT_PARSE, str(exc)
     except InvariantViolation as exc:
-        code, text = EXIT_INVARIANT, f"internal invariant failure: {exc}"
+        return EXIT_INVARIANT, str(exc)
     except GsbError as exc:
         # precondition, hypothesis, model-mismatch and unsupported-model errors
-        code, text = EXIT_PRECONDITION, f"error: {exc}"
+        return EXIT_PRECONDITION, str(exc)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    code, result = _run(args, None)
+    if code != EXIT_OK:
+        label = "internal invariant failure" if code == EXIT_INVARIANT else "error"
+        stream, text = sys.stderr, f"{label}: {result}"
     else:
         stream = sys.stdout
         if args.json:
-            text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
+            text = json.dumps(result, indent=2, sort_keys=True, ensure_ascii=False)
         else:
-            text = "\n".join(_text(payload))
+            text = "\n".join(_text(result))
         # verify-examples reports a mismatch as "pass": false
-        code = EXIT_INVARIANT if payload.get("pass") is False else EXIT_OK
+        code = EXIT_INVARIANT if result.get("pass") is False else EXIT_OK
     try:
         print(text, file=stream)
         stream.flush()

@@ -79,7 +79,9 @@ class Instance(Record):
         parts = [part.strip() for part in names.split(",")]
         if not any(parts):
             raise InstanceFormatError("empty algebra list")
-        return [self.algebra(part) for part in parts if part]
+        if not all(parts):
+            raise InstanceFormatError(f"empty entry in algebra list {names!r}")
+        return [self.algebra(part) for part in parts]
 
     def product(self, text: str) -> GSBProduct:
         """A named variety if the text matches one, else a parsed expression."""

@@ -7,10 +7,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from gsbmaps.cli import main
+import gsbmaps
+import gsbmaps.cli as cli_mod
+from gsbmaps.cli import build_parser, main
 
 BIQUATERNION_DOC = {
     "prime": 2,
@@ -354,16 +357,30 @@ class TestExitCodes:
         assert "FAIL" not in out
         assert out.count("PASS") == 9
 
+    @staticmethod
+    def _verify_one_claim(capsys, monkeypatch, run):
+        """verify-examples over a single fixture whose one claim has one run."""
+        doc = dict(MIXED_DOC, claims=[{"claim": "one claim", "runs": [run]}])
+        monkeypatch.setattr(cli_mod, "_bundled_docs", lambda: {"one.json": doc})
+        return run_cli(capsys, "verify-examples")
+
     def test_verify_examples_mismatch_exits_4(self, capsys, monkeypatch):
-        import gsbmaps.cli as cli_mod
-
-        def broken(inst):
-            return [("deliberately false claim", lambda: False)]
-
-        monkeypatch.setattr(cli_mod, "_biquaternion_claims", broken)
-        code, out, _ = run_cli(capsys, "verify-examples")
+        run = {"argv": ["index", "--algebra", "D1"], "shows": {"index": 2}}
+        code, out, _ = self._verify_one_claim(capsys, monkeypatch, run)
         assert code == 4
-        assert "FAIL" in out
+        assert "FAIL  [one.json] one claim\n" in out
+
+    def test_verify_examples_failing_run_names_its_error(self, capsys, monkeypatch):
+        run = {"argv": ["index", "--algebra", "D9"], "shows": {"index": 4}}
+        code, out, _ = self._verify_one_claim(capsys, monkeypatch, run)
+        assert code == 4
+        assert "FAIL  [one.json] one claim (error: unknown algebra 'D9')\n" in out
+
+    def test_verify_examples_missing_field_fails(self, capsys, monkeypatch):
+        run = {"argv": ["subgroup", "--generators", "D1"], "shows": {"equals.equal": True}}
+        code, out, _ = self._verify_one_claim(capsys, monkeypatch, run)
+        assert code == 4
+        assert "FAIL  [one.json] one claim\n" in out
 
     def test_invariant_violation_in_a_command(self, capsys, monkeypatch, biq_path):
         import gsbmaps.cli as cli_mod
@@ -379,6 +396,19 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert err == "internal invariant failure: boom\n"
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["subgroup", "--generators", "Δ1,,Δ2"], "Δ1,,Δ2"),
+            (["compare-families", "--left", "Δ1,", "--right", ",Δ2"], "Δ1,"),
+        ],
+        ids=["subgroup", "compare-families"],
+    )
+    def test_empty_entry_in_algebra_list(self, capsys, biq_path, argv, names):
+        code, out, err = run_cli(capsys, "-i", biq_path, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: empty entry in algebra list {names!r}\n"
 
     def test_unknown_algebra_name(self, capsys, biq_path):
         code, _, err = run_cli(capsys, "-i", biq_path, "index", "--algebra", "Δ9")
@@ -438,6 +468,44 @@ forward = [call(argv) for argv in calls]
 backward = [call(argv) for argv in reversed(calls)][::-1]
 print(json.dumps([forward, backward]))
 """
+
+
+FIXTURE_PATHS = sorted((Path(gsbmaps.__file__).parent / "fixtures").glob("*.json"))
+
+
+def _bundled_claims():
+    """(fixture file name, claim) for every claim of every bundled fixture."""
+    for path in FIXTURE_PATHS:
+        claims = json.loads(path.read_text(encoding="utf-8"))["claims"]
+        assert claims, path.name
+        for claim in claims:
+            yield path.name, claim
+
+
+class TestClaimsAsData:
+    """The claims verify-examples checks live in the bundled fixtures."""
+
+    def test_every_claim_has_text_and_runs(self):
+        for name, claim in _bundled_claims():
+            assert isinstance(claim["claim"], str) and claim["claim"], name
+            assert claim["runs"], (name, claim["claim"])
+
+    def test_every_run_is_a_command_that_checks_something(self):
+        commands = {row[0] for row in cli_mod._COMMANDS} - {"verify-examples"}
+        for name, claim in _bundled_claims():
+            for run in claim["runs"]:
+                # a misspelt key would check nothing and pass
+                assert {"argv"} < set(run) <= {"argv", "shows", "lacks"}, (name, run)
+                assert run.get("shows") or run.get("lacks"), (name, run)
+                args = build_parser().parse_args(run["argv"])
+                assert args.command in commands, (name, claim["claim"])
+                assert args.instance is None and not args.json, (name, run)
+
+    def test_walks_exactly_the_json_fixtures(self, capsys):
+        code, out, _ = run_cli(capsys, "--json", "verify-examples")
+        assert code == 0
+        walked = [f["fixture"] for f in json.loads(out)["fixtures"]]
+        assert walked == [path.name for path in FIXTURE_PATHS]
 
 
 class TestSharedParser:

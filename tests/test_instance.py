@@ -191,6 +191,14 @@ LOAD_ERRORS = {
         lambda: load_instance(_biquaternion_doc()).algebra_list(" , "),
         "empty algebra list",
     ),
+    "empty-entry-inside-list": (
+        lambda: load_instance(_biquaternion_doc()).algebra_list("Δ1,,Δ2"),
+        "empty entry in algebra list 'Δ1,,Δ2'",
+    ),
+    "empty-entry-at-end": (
+        lambda: load_instance(_biquaternion_doc()).algebra_list("Δ1, "),
+        "empty entry in algebra list 'Δ1, '",
+    ),
 }
 
 
