@@ -1,6 +1,7 @@
 """Slotted records in place of dataclasses, whose import pulls in inspect,
 ast and dis.  A subclass lists its fields as __slots__ in constructor order,
-and its __init__ writes each with object.__setattr__.  Equality runs over
+and its __init__ writes each with object.__setattr__; a field that __init__
+works out comes last, and its class overrides __reduce__.  Equality runs over
 compare= (all fields by default).  A Value is hashed and immutable."""
 
 from operator import attrgetter

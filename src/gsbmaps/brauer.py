@@ -14,7 +14,7 @@ import bisect
 import itertools
 import math
 import operator
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from ._value import Value
 from .errors import ModelMismatchError, PreconditionError
@@ -274,32 +274,23 @@ def _index(exponents: Iterable[int], orders: tuple[int, ...]) -> int:
     return result
 
 
-class AlgebraSpec(Value, compare=("brauer_class", "degree_exponent")):
-    """A division algebra: a Brauer class plus its degree p**degree_exponent.
+class AlgebraSpec(Value, compare=("brauer_class",)):
+    """The division algebra in a Brauer class.
 
-    Division means the model index of the class equals the declared degree.
-    The label is display-only and ignored by equality.
+    Its degree is the model index of the class, p**degree_exponent, worked
+    out once here.  The label is display-only and ignored by equality.
     """
 
-    __slots__ = ("brauer_class", "degree_exponent", "label")
+    __slots__ = ("brauer_class", "label", "degree_exponent")
 
-    def __init__(
-        self, brauer_class: BrauerClass, degree_exponent: int, label: str | None = None
-    ):
-        degree_exponent = _integer(degree_exponent, "degree exponent")
+    def __init__(self, brauer_class: BrauerClass, label: str | None = None):
         object.__setattr__(self, "brauer_class", brauer_class)
-        object.__setattr__(self, "degree_exponent", degree_exponent)
         object.__setattr__(self, "label", label)
-        if self.degree_exponent < 0:
-            raise PreconditionError("degree exponent must be nonnegative")
-        declared = self.prime ** self.degree_exponent
-        actual = generic_index(self.brauer_class)
-        if actual != declared:
-            name = self.label or str(self.brauer_class)
-            raise PreconditionError(
-                f"algebra {name}: not a division algebra of the declared degree "
-                f"(model index {actual}, declared degree {declared})"
-            )
+        exponent = vp(generic_index(brauer_class), brauer_class.group.prime)
+        object.__setattr__(self, "degree_exponent", exponent)
+
+    def __reduce__(self) -> tuple:
+        return AlgebraSpec, (self.brauer_class, self.label)
 
     @property
     def model(self) -> BrauerGroupModel:
@@ -315,7 +306,7 @@ class AlgebraSpec(Value, compare=("brauer_class", "degree_exponent")):
 
     @property
     def index(self) -> int:
-        return generic_index(self.brauer_class)
+        return self.degree
 
     @property
     def exponent(self) -> int:
@@ -327,7 +318,7 @@ class AlgebraSpec(Value, compare=("brauer_class", "degree_exponent")):
 
 def division_algebra(c: BrauerClass, label: str | None = None) -> AlgebraSpec:
     """The division algebra of class c, with degree equal to its model index."""
-    return AlgebraSpec(c, vp(generic_index(c), c.group.prime), label)
+    return AlgebraSpec(c, label)
 
 
 _class_key = operator.attrgetter("exponents")

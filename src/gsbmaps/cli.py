@@ -1,8 +1,9 @@
 """Command-line front end.
 
 main loads the instance once; each command returns its report as the payload
-that --json prints, and main writes that payload or the text that _text
-renders from it alone, so every fact in a text report is also in its JSON.
+that --json prints, _run adds the command's name to it, and main writes that
+payload or the text that _text renders from it alone, so every fact in a text
+report is also in its JSON.
 verify-examples holds no claims of its own: it runs the "claims" of each
 bundled fixture through these same commands, and _run serves both it and main.
 
@@ -19,7 +20,7 @@ import functools
 import json
 import os
 import sys
-from typing import Any, Sequence
+from collections.abc import Sequence
 
 from .brauer import Subgroup, subgroup_generated, subgroups_equal
 from .errors import (
@@ -44,17 +45,12 @@ EXIT_PRECONDITION = 3
 EXIT_INVARIANT = 4
 
 
-def _bundled_docs() -> dict[str, Any]:
+def _bundled_docs() -> dict[str, dict]:
     """The decoded *.json fixtures shipped inside the package, by file name."""
     from importlib import resources  # only verify-examples pays for it
     paths = resources.files("gsbmaps").joinpath("fixtures").iterdir()
     fixtures = [path for path in paths if path.name.endswith(".json")]
     return {p.name: json.loads(p.read_text(encoding="utf-8")) for p in fixtures}
-
-
-def load_bundled_instance(name: str) -> Instance:
-    """Load one of the fixtures shipped inside the package."""
-    return load_instance(_bundled_docs()[name], source=f"bundled:{name}")
 
 
 def _direction_payload(rep: DirectionReport, source: str, target: str) -> dict:
@@ -77,7 +73,6 @@ def _direction_payload(rep: DirectionReport, source: str, target: str) -> dict:
 def _cmd_index(args: argparse.Namespace, inst: Instance) -> dict:
     alg = inst.algebra(args.algebra)
     return {
-        "command": "index",
         "algebra": args.algebra,
         "class": list(alg.brauer_class.exponents),
         "degree": alg.degree,
@@ -88,14 +83,13 @@ def _cmd_index(args: argparse.Namespace, inst: Instance) -> dict:
 def _cmd_exponent(args: argparse.Namespace, inst: Instance) -> dict:
     alg = inst.algebra(args.algebra)
     return {
-        "command": "exponent",
         "algebra": args.algebra,
         "class": list(alg.brauer_class.exponents),
         "exponent": alg.exponent,
     }
 
 
-def _subgroup(inst: Instance, names: str) -> tuple[Subgroup, dict[str, Any]]:
+def _subgroup(inst: Instance, names: str) -> tuple[Subgroup, dict[str, object]]:
     gens = [a.brauer_class for a in inst.algebra_list(names)]
     sub = subgroup_generated(gens, inst.model)
     elements = [list(c.exponents) for c in sub]
@@ -104,7 +98,6 @@ def _subgroup(inst: Instance, names: str) -> tuple[Subgroup, dict[str, Any]]:
 
 def _cmd_subgroup(args: argparse.Namespace, inst: Instance) -> dict:
     sub, payload = _subgroup(inst, args.generators)
-    payload["command"] = "subgroup"
     if args.equals is not None:
         other, payload["equals"] = _subgroup(inst, args.equals)
         payload["equals"]["equal"] = subgroups_equal(sub, other)
@@ -116,7 +109,6 @@ def _cmd_reduced_index(args: argparse.Namespace, inst: Instance) -> dict:
     base = inst.product(args.base)
     result = reduced_index(target, base)
     return {
-        "command": "reduced-index",
         "target": args.target,
         "base": str(base),
         "index": result.value,
@@ -129,7 +121,6 @@ def _cmd_rational_map(args: argparse.Namespace, inst: Instance) -> dict:
     target = inst.product(args.target)
     rep = exists_rational_map(source, target)
     return {
-        "command": "rational-map",
         "source": str(source),
         "target": str(target),
         "exists": rep.forward.exists,
@@ -143,8 +134,7 @@ def _cmd_equivalent(args: argparse.Namespace, inst: Instance) -> dict:
     rep = equivalent(left, right)
     if rep.backward is None:
         raise InvariantViolation("equivalent returned no backward direction")
-    payload: dict[str, Any] = {
-        "command": "equivalent",
+    payload: dict[str, object] = {
         "left": str(left),
         "right": str(right),
         "equivalent": rep.holds,
@@ -186,7 +176,6 @@ def _cmd_motive_iso(args: argparse.Namespace, inst: Instance) -> dict:
     left = upper_motive(inst.product(args.left))
     right = upper_motive(inst.product(args.right))
     return {
-        "command": "motive-iso",
         "left": str(left),
         "right": str(right),
         "isomorphic": motives_isomorphic(left, right),
@@ -196,7 +185,6 @@ def _cmd_motive_iso(args: argparse.Namespace, inst: Instance) -> dict:
 def _cmd_compare_families(args: argparse.Namespace, inst: Instance) -> dict:
     comp = compare_families(inst.algebra_list(args.left), inst.algebra_list(args.right))
     return {
-        "command": "compare-families",
         "left": args.left,
         "right": args.right,
         "verdict": comp.verdict.value,
@@ -210,7 +198,7 @@ def _cmd_compare_families(args: argparse.Namespace, inst: Instance) -> dict:
 _ABSENT = object()
 
 
-def _field(payload: dict, path: str) -> Any:
+def _field(payload: dict, path: str) -> object:
     """The payload value at a dotted path such as "equals.equal", or _ABSENT."""
     try:
         return functools.reduce(dict.__getitem__, path.split("."), payload)
@@ -227,7 +215,7 @@ def _cmd_verify_examples(args: argparse.Namespace, inst: None) -> dict:
     report = []
     for name, doc in sorted(_bundled_docs().items()):
         fixture = load_instance(doc, source=f"bundled:{name}")
-        outcomes: dict[tuple[str, ...], tuple[int, Any]] = {}
+        outcomes: dict[tuple[str, ...], tuple[int, object]] = {}
         claims = []
         for claim in doc["claims"]:
             text, ok = claim["claim"], True
@@ -245,7 +233,7 @@ def _cmd_verify_examples(args: argparse.Namespace, inst: None) -> dict:
             claims.append({"claim": text, "pass": ok})
         report.append({"fixture": name, "claims": claims})
     all_ok = all(c["pass"] for f in report for c in f["claims"])
-    return {"command": "verify-examples", "fixtures": report, "pass": all_ok}
+    return {"fixtures": report, "pass": all_ok}
 
 
 def _tuple_str(tup: Sequence[int]) -> str:
@@ -397,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args: argparse.Namespace, inst: Instance | None) -> tuple[int, Any]:
+def _run(args: argparse.Namespace, inst: Instance | None) -> tuple[int, object]:
     """Run a parsed command: (0, its payload), or (exit code, error message)."""
     try:
         if inst is None and args.command != "verify-examples":
@@ -406,7 +394,9 @@ def _run(args: argparse.Namespace, inst: Instance | None) -> tuple[int, Any]:
                     "this command needs an instance file (pass --instance PATH)"
                 )
             inst = parse_instance(args.instance)
-        return EXIT_OK, args.func(args, inst)
+        payload = args.func(args, inst)
+        payload["command"] = args.command
+        return EXIT_OK, payload
     except InstanceFormatError as exc:
         return EXIT_PARSE, str(exc)
     except InvariantViolation as exc:

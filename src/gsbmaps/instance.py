@@ -25,9 +25,9 @@ where the integer is the reduced dimension p^k (not k itself).
 from __future__ import annotations
 
 import json
+import os
 import re
-from pathlib import Path
-from typing import Any, Mapping
+from collections.abc import Mapping
 
 from ._value import Record
 from .brauer import AlgebraSpec, BrauerClass, BrauerGroupModel, _p_power_exponent
@@ -37,7 +37,7 @@ from .reduction import GSBFactor, GSBProduct
 _FORBIDDEN_NAME_CHARS = set("();,")
 
 
-def _check_name(name: Any, what: str) -> str:
+def _check_name(name: object, what: str) -> str:
     if not isinstance(name, str) or not name:
         raise InstanceFormatError(f"{what}: name must be a nonempty string")
     if name != name.strip():
@@ -106,7 +106,7 @@ def _json_type(kind: type) -> str:
     return _JSON_TYPES.get(kind, kind.__name__)
 
 
-def _expect(doc: Mapping[str, Any], key: str, kind: type, what: str) -> Any:
+def _expect(doc: Mapping[str, object], key: str, kind: type, what: str) -> object:
     if key not in doc:
         raise InstanceFormatError(f"{what}: missing required key {key!r}")
     value = doc[key]
@@ -118,7 +118,7 @@ def _expect(doc: Mapping[str, Any], key: str, kind: type, what: str) -> Any:
     return value
 
 
-def load_instance(doc: Any, source: str = "<instance>") -> Instance:
+def load_instance(doc: object, source: str = "<instance>") -> Instance:
     """Validate a decoded JSON document into an Instance."""
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{source}: top level must be a JSON object")
@@ -164,16 +164,17 @@ def load_instance(doc: Any, source: str = "<instance>") -> Instance:
                 )
             exponents[pos] = value % orders[pos]
         degree = _expect(spec, "degree", int, what)
-        degree_exponent = _p_power_exponent(degree, prime)
-        if degree_exponent is None:
+        if _p_power_exponent(degree, prime) is None:
             raise InstanceFormatError(
                 f"{what}: degree {degree} is not a power of the prime {prime}"
             )
-        cls = BrauerClass._reduced(model, tuple(exponents))
-        try:
-            algebras[name] = AlgebraSpec(cls, degree_exponent, label=name)
-        except PreconditionError as exc:
-            raise InstanceFormatError(f"{source}: {exc}") from exc
+        algebra = AlgebraSpec(BrauerClass._reduced(model, tuple(exponents)), name)
+        if algebra.degree != degree:
+            raise InstanceFormatError(
+                f"{source}: algebra {name}: not a division algebra of the declared "
+                f"degree (model index {algebra.degree}, declared degree {degree})"
+            )
+        algebras[name] = algebra
 
     if "aliases" in doc:
         aliases_doc = _expect(doc, "aliases", dict, source)
@@ -203,21 +204,21 @@ def load_instance(doc: Any, source: str = "<instance>") -> Instance:
     return instance
 
 
-def parse_instance(path: str | Path) -> Instance:
-    """Load and validate an instance file."""
-    p = Path(path)
+def parse_instance(path: str | os.PathLike) -> Instance:
+    """Load and validate an instance file; messages show path as given."""
     try:
-        raw = p.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InstanceFormatError(f"cannot read instance file {p}: {exc}") from exc
+        raise InstanceFormatError(f"cannot read instance file {path}: {exc}") from exc
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"{p}: malformed JSON: {exc}") from exc
+        raise InstanceFormatError(f"{path}: malformed JSON: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         # an integer past the int digit limit, or nesting past the stack
-        raise InstanceFormatError(f"{p}: cannot decode JSON: {exc}") from exc
-    return load_instance(doc, source=str(p))
+        raise InstanceFormatError(f"{path}: cannot decode JSON: {exc}") from exc
+    return load_instance(doc, source=str(path))
 
 
 _FACTOR = re.compile(r"\s*X\(\s*(\d+)\s*;([^)]*)\)\s*")

@@ -12,7 +12,7 @@ because outside the hypotheses the criteria are inapplicable, not negative.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from ._value import Value
 from .brauer import AlgebraSpec, same_model, subgroup_generated, subgroups_equal
@@ -30,23 +30,30 @@ from .reduction import (
 class FactorWitness(Value):
     """Reduced-index certificate for one target factor over a base product."""
 
-    __slots__ = ("factor", "has_point", "index", "witness")
+    __slots__ = ("factor", "index", "witness")
 
-    def __init__(self, factor: GSBFactor, has_point: bool, index: int, witness: tuple):
+    def __init__(self, factor: GSBFactor, index: int, witness: tuple):
         object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "has_point", has_point)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "witness", witness)
+
+    @property
+    def has_point(self) -> bool:
+        # X(p^k;D) has a rational point iff the reduced index of D divides p^k
+        return self.factor.reduced_dim % self.index == 0
 
 
 class DirectionReport(Value):
     """One direction of a rational-map decision, factor by factor."""
 
-    __slots__ = ("exists", "factors")
+    __slots__ = ("factors",)
 
-    def __init__(self, exists: bool, factors: tuple[FactorWitness, ...]):
-        object.__setattr__(self, "exists", exists)
+    def __init__(self, factors: tuple[FactorWitness, ...]):
         object.__setattr__(self, "factors", factors)
+
+    @property
+    def exists(self) -> bool:
+        return all(w.has_point for w in self.factors)
 
 
 class RationalMapReport(Value):
@@ -55,7 +62,7 @@ class RationalMapReport(Value):
     __slots__ = ("forward", "backward")
 
     def __init__(
-        self, forward: DirectionReport, backward: Optional[DirectionReport] = None
+        self, forward: DirectionReport, backward: DirectionReport | None = None
     ):
         object.__setattr__(self, "forward", forward)
         object.__setattr__(self, "backward", backward)
@@ -68,9 +75,7 @@ class RationalMapReport(Value):
 
 
 def _factor_witness(f: GSBFactor, base: GSBProduct) -> FactorWitness:
-    # X(p^k;D) has a rational point iff the reduced index of D divides p^k
-    ri = reduced_index(f.algebra, base)
-    return FactorWitness(f, f.reduced_dim % ri.value == 0, ri.value, ri.witness)
+    return FactorWitness(f, *reduced_index(f.algebra, base))
 
 
 def has_rational_point_over(target: GSBFactor, base: GSBProduct) -> bool:
@@ -79,8 +84,7 @@ def has_rational_point_over(target: GSBFactor, base: GSBProduct) -> bool:
 
 
 def _direction(source: GSBProduct, target: GSBProduct) -> DirectionReport:
-    witnesses = tuple(_factor_witness(f, source) for f in target.factors)
-    return DirectionReport(all(w.has_point for w in witnesses), witnesses)
+    return DirectionReport(tuple(_factor_witness(f, source) for f in target.factors))
 
 
 @reuses_reduced_index
@@ -117,7 +121,7 @@ def classical_criterion(
 
 def _balanced_row(
     d: AlgebraSpec, family: Sequence[AlgebraSpec], k: int, s: int
-) -> Optional[tuple[int, ...]]:
+) -> tuple[int, ...] | None:
     """Lexicographically smallest balanced relation of d over family, or None.
 
     That is a row i in [1, p^s]^m with sum_j vp(gcd(i_j, p^k)) = k(m-1) and
@@ -136,7 +140,7 @@ def _balanced_row(
 
 def relation_witness(
     target: AlgebraSpec, base: GSBProduct
-) -> Optional[tuple[int, ...]]:
+) -> tuple[int, ...] | None:
     """Balanced exponent relation certifying the rational point on X(p^k;target).
 
     Hypotheses: all base factors share one k, all algebras share one degree
@@ -185,7 +189,7 @@ class MutualRelation(Value):
 
 def mutual_relation_witness(
     left: Sequence[AlgebraSpec], right: Sequence[AlgebraSpec], k: int
-) -> Optional[MutualRelation]:
+) -> MutualRelation | None:
     """Search mutual balanced relations between two equal-exponent families.
 
     Under the hypotheses (one common degree p^s, 0 <= k < s, one exponent

@@ -9,8 +9,8 @@ both directions between the underlying products.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from enum import Enum
-from typing import Optional, Sequence
 
 from ._value import Value
 from .brauer import AlgebraSpec, same_model
@@ -78,22 +78,28 @@ class FamilyVerdict(Enum):
 class FamilyComparison(Value):
     """Outcome of matching two families' upper-motive sets against each other."""
 
-    __slots__ = ("verdict", "shared", "unmatched_left", "unmatched_right")
+    __slots__ = ("shared", "unmatched_left", "unmatched_right")
 
     def __init__(
         self,
-        verdict: FamilyVerdict,
         shared: tuple[tuple[UpperMotiveDescriptor, UpperMotiveDescriptor], ...],
         unmatched_left: tuple[UpperMotiveDescriptor, ...],
         unmatched_right: tuple[UpperMotiveDescriptor, ...],
     ):
-        object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "shared", shared)
         object.__setattr__(self, "unmatched_left", unmatched_left)
         object.__setattr__(self, "unmatched_right", unmatched_right)
 
     @property
-    def separating(self) -> Optional[UpperMotiveDescriptor]:
+    def verdict(self) -> FamilyVerdict:
+        if not self.shared:
+            return FamilyVerdict.TATE_ONLY
+        if self.unmatched_left or self.unmatched_right:
+            return FamilyVerdict.PARTIAL
+        return FamilyVerdict.EQUAL
+
+    @property
+    def separating(self) -> UpperMotiveDescriptor | None:
         if self.unmatched_left:
             return self.unmatched_left[0]
         if self.unmatched_right:
@@ -166,12 +172,8 @@ def compare_families(
                 shared.append((a, b))
                 matched_left.add(a)
                 matched_right.add(b)
-    unmatched_left = tuple(d for d in l_motives if d not in matched_left)
-    unmatched_right = tuple(d for d in r_motives if d not in matched_right)
-    if not shared:
-        verdict = FamilyVerdict.TATE_ONLY
-    elif not unmatched_left and not unmatched_right:
-        verdict = FamilyVerdict.EQUAL
-    else:
-        verdict = FamilyVerdict.PARTIAL
-    return FamilyComparison(verdict, tuple(shared), unmatched_left, unmatched_right)
+    return FamilyComparison(
+        tuple(shared),
+        tuple(d for d in l_motives if d not in matched_left),
+        tuple(d for d in r_motives if d not in matched_right),
+    )

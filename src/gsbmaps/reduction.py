@@ -41,8 +41,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Sequence
 from contextvars import ContextVar
-from typing import Callable, Iterator, NamedTuple, Sequence
 
 from ._value import Value
 from .brauer import (
@@ -164,11 +165,8 @@ def reduction_term(target: AlgebraSpec, base: GSBProduct, i: Sequence[int]) -> i
     return deficiency * generic_index(combine(terms))
 
 
-class ReducedIndex(NamedTuple):
-    """Minimum over all twists, with the first tuple attaining it."""
-
-    value: int
-    witness: tuple[int, ...]
+ReducedIndex = namedtuple("ReducedIndex", ("value", "witness"))
+ReducedIndex.__doc__ = "Minimum over all twists, with the first tuple attaining it."
 
 
 # The answers of the reuses_reduced_index call in progress, or None outside one.
@@ -195,18 +193,18 @@ def reuses_reduced_index(fn: Callable) -> Callable:
     return scoped
 
 
+@reuses_reduced_index
 def reduced_index(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
     """Index of target over the function field of base.
 
     Requires target and every base algebra to share one degree p^s.  The
     minimum ranges over all tuples in [1, p^s]^n; the witness is the
     lexicographically smallest minimizer, so results are deterministic.
-    Inside reuses_reduced_index a question already answered in the same call
-    is not enumerated again; a call that raised leaves nothing behind.
+    A question already answered in the same reuses_reduced_index call is not
+    enumerated again; a bare call keeps nothing, and a call that raised
+    leaves nothing behind.
     """
     memo = _MEMO.get()
-    if memo is None:
-        return _enumerate(target, base)
     key = (target, base.factors)
     result = memo.get(key)
     if result is None:

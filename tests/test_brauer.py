@@ -288,11 +288,6 @@ class TestNonIntegerInputs:
         with pytest.raises(PreconditionError, match="2.0"):
             BrauerGroupModel(2.0, (4,))
 
-    def test_degree_exponent(self):
-        c = BrauerGroupModel(2, (2,)).element((1,))
-        with pytest.raises(PreconditionError, match="1.0"):
-            AlgebraSpec(c, 1.0)
-
     @pytest.mark.parametrize(
         "n,p,shown", [(8.0, 2, "8.0"), (4.5, 2, "4.5"), (12, 2.0, "2.0")]
     )
@@ -347,15 +342,14 @@ class TestExponentAndIndex:
 
 
 class TestAlgebraSpec:
-    def test_division_invariant_enforced(self):
-        m, d1, _, _ = biquaternion_model()
-        with pytest.raises(PreconditionError, match="not a division algebra"):
-            AlgebraSpec(d1.brauer_class, 3)  # declared degree 8, index 4
-
-    def test_negative_degree_exponent(self):
-        c = BrauerGroupModel(2, (2,)).element((1,))
-        with pytest.raises(PreconditionError, match="degree exponent must be nonnegative"):
-            AlgebraSpec(c, -1)
+    @pytest.mark.parametrize("model", ENUMERATED_MODELS, ids=str)
+    def test_degree_is_the_model_index(self, model):
+        for c in model.elements():
+            if c.is_zero:
+                continue
+            alg = AlgebraSpec(c)
+            assert alg.degree == generic_index(c) == alg.index
+            assert division_algebra(c) == alg
 
     def test_division_algebra_helper(self):
         m = BrauerGroupModel(2, (4, 2))

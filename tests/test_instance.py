@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gsbmaps
 from gsbmaps import (
     GSBProduct,
     InstanceFormatError,
@@ -17,7 +19,8 @@ from gsbmaps import (
     parse_instance,
     parse_variety_expression,
 )
-from gsbmaps.cli import load_bundled_instance
+
+FIXTURES = Path(gsbmaps.__file__).parent / "fixtures"
 
 
 def _biquaternion_doc():
@@ -64,6 +67,21 @@ class TestLoadInstance:
         doc["algebras"]["bad"] = {"class": {"q1": 1, "q2": 1}, "degree": 8}
         with pytest.raises(InstanceFormatError, match="not a division algebra"):
             load_instance(doc)
+
+    @pytest.mark.parametrize(
+        "degree, message",
+        [
+            (8, "f.json: algebra bad: not a division algebra of the declared "
+                "degree (model index 4, declared degree 8)"),
+            (6, "f.json: algebra 'bad': degree 6 is not a power of the prime 2"),
+        ],
+    )
+    def test_degree_message_exact(self, degree, message):
+        doc = _biquaternion_doc()
+        doc["algebras"]["bad"] = {"class": {"q1": 1, "q2": 1}, "degree": degree}
+        with pytest.raises(InstanceFormatError) as info:
+            load_instance(doc, source="f.json")
+        assert str(info.value) == message
 
     def test_degree_must_be_prime_power(self):
         # 0 and -4 stay format errors although vp refuses n < 1 outright
@@ -226,9 +244,9 @@ class TestParseInstanceFile:
             parse_instance(path)
 
     def test_bundled_fixtures_load(self):
-        bi = load_bundled_instance("biquaternion.json")
+        bi = parse_instance(FIXTURES / "biquaternion.json")
         assert bi.model.generator_orders == (2, 2, 2)
-        mixed = load_bundled_instance("mixed_exponent.json")
+        mixed = parse_instance(FIXTURES / "mixed_exponent.json")
         assert mixed.model.generator_orders == (4, 2, 2)
         assert mixed.algebra("D1").exponent == 4
 

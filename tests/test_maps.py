@@ -6,9 +6,11 @@ import functools
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+import gsbmaps
 from gsbmaps import (
     BrauerGroupModel,
     GSBFactor,
@@ -23,6 +25,7 @@ from gsbmaps import (
     exists_rational_map,
     has_rational_point_over,
     mutual_relation_witness,
+    parse_instance,
     relation_witness,
     vp,
 )
@@ -34,6 +37,20 @@ from helpers import (
     oracle_balanced_rows,
     uniform_product,
 )
+
+
+FIXTURE_PATHS = sorted((Path(gsbmaps.__file__).parent / "fixtures").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.name)
+def test_fixture_certificates_work_out_their_verdicts(path):
+    inst = parse_instance(path)
+    report = equivalent(inst.product("left"), inst.product("right"))
+    for direction in (report.forward, report.backward):
+        for w in direction.factors:
+            assert w.has_point == (w.factor.reduced_dim % w.index == 0)
+        assert direction.exists == all(w.has_point for w in direction.factors)
+    assert report.holds == (report.forward.exists and report.backward.exists)
 
 
 class TestRationalPoints:

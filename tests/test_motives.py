@@ -8,6 +8,7 @@ import pytest
 
 from gsbmaps import (
     BrauerGroupModel,
+    FamilyComparison,
     FamilyVerdict,
     GSBFactor,
     GSBProduct,
@@ -170,6 +171,19 @@ class TestCompareFamilies:
         m11_left = UpperMotiveDescriptor((GSBFactor(d1, 1), GSBFactor(d2, 1)))
         assert m11_left in comp.unmatched_left
         assert comp.separating is not None
+
+    def test_verdict_from_lists(self):
+        _, d1, _, d3 = biquaternion_model()
+        a = UpperMotiveDescriptor((GSBFactor(d1, 0),))
+        b = UpperMotiveDescriptor((GSBFactor(d3, 0),))
+        cases = [
+            (((), (a,), (b,)), FamilyVerdict.TATE_ONLY),
+            ((((a, a),), (), ()), FamilyVerdict.EQUAL),
+            ((((a, a),), (b,), ()), FamilyVerdict.PARTIAL),
+            ((((a, a),), (), (b,)), FamilyVerdict.PARTIAL),
+        ]
+        for lists, verdict in cases:
+            assert FamilyComparison(*lists).verdict is verdict
 
     def test_verdict_invariants(self):
         _, d1, d2, d3 = biquaternion_model()

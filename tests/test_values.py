@@ -46,7 +46,7 @@ def _model():
 
 
 def _algebra(label="Δ1"):
-    return AlgebraSpec(_model().element((1, 1, 0)), 2, label)
+    return AlgebraSpec(_model().element((1, 1, 0)), label)
 
 
 def _factor():
@@ -54,11 +54,11 @@ def _factor():
 
 
 def _witness():
-    return FactorWitness(_factor(), True, 2, (1, 2))
+    return FactorWitness(_factor(), 2, (1, 2))
 
 
 def _direction():
-    return DirectionReport(True, (_witness(),))
+    return DirectionReport((_witness(),))
 
 
 def _instance():
@@ -79,7 +79,6 @@ BUILDERS = {
     "MutualRelation": lambda: MutualRelation(((1, 2),), ((2, 1),)),
     "UpperMotiveDescriptor": lambda: UpperMotiveDescriptor((_factor(),)),
     "FamilyComparison": lambda: FamilyComparison(
-        FamilyVerdict.PARTIAL,
         ((UpperMotiveDescriptor((_factor(),)),) * 2,),
         (),
         (UpperMotiveDescriptor((GSBFactor(_algebra(), 0),)),),
@@ -164,12 +163,21 @@ def test_label_is_display_only():
 def test_keyword_construction():
     model = BrauerGroupModel(prime=2, generator_orders=(2, 2, 2))
     cls = BrauerClass(group=model, exponents=(1, 1, 0))
-    algebra = AlgebraSpec(brauer_class=cls, degree_exponent=2, label="Δ1")
+    algebra = AlgebraSpec(brauer_class=cls, label="Δ1")
     factor = GSBFactor(algebra=algebra, k=1)
     assert factor == _factor()
     assert GSBProduct(factors=[factor]) == GSBProduct((_factor(),))
-    report = RationalMapReport(forward=_direction())
+    witness = FactorWitness(factor=factor, index=2, witness=(1, 2))
+    assert witness == _witness() and witness.has_point
+    direction = DirectionReport(factors=(witness,))
+    assert direction == _direction() and direction.exists
+    report = RationalMapReport(forward=direction)
     assert report.backward is None and report.holds
+    motive = UpperMotiveDescriptor((factor,))
+    comparison = FamilyComparison(
+        shared=((motive, motive),), unmatched_left=(), unmatched_right=()
+    )
+    assert comparison.verdict is FamilyVerdict.EQUAL
     assert Subgroup(group=model, elements=[model.zero()]).elements == (model.zero(),)
     assert MutualRelation(left_over_right=(), right_over_left=()).left_over_right == ()
 
@@ -219,7 +227,7 @@ IMPORT_PROBE = textwrap.dedent(
     import sys
     sys.path.insert(0, sys.argv[1])
     import gsbmaps.cli
-    heavy = ["dataclasses", "inspect", "importlib.resources"]
+    heavy = ["dataclasses", "inspect", "importlib.resources", "typing", "pathlib"]
     loaded = [name for name in heavy if name in sys.modules]
     import contextlib, io, json
     with contextlib.redirect_stdout(io.StringIO()):
