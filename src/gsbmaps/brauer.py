@@ -325,18 +325,13 @@ _class_key = operator.attrgetter("exponents")
 
 
 def _span(
-    generators: Iterable[tuple[int, ...]],
-    orders: tuple[int, ...],
-    members: set[tuple[int, ...]] | None = None,
+    generators: Iterable[tuple[int, ...]], orders: tuple[int, ...]
 ) -> set[tuple[int, ...]]:
     """Exponent vectors of the subgroup the generators span.
 
     The span S grows one generator g at a time, by the cosets S + g, S + 2g,
     ... up to the first multiple of g already in S, so each element costs one
-    addition.  With members given, each new coset must lie in it: a new
-    element is an element of S plus g, both members, so one outside members
-    is a sum of two members that falls outside, and PreconditionError is
-    raised.
+    addition; a generator already in S costs one lookup.
     """
     zero = (0,) * len(orders)
     span = {zero}
@@ -349,33 +344,32 @@ def _span(
             coset = [
                 tuple([(a + b) % o for a, b, o in zip(x, g, orders)]) for x in coset
             ]
-            if members is not None and not members.issuperset(coset):
-                raise PreconditionError("element set is not closed under addition")
             span.update(coset)
             multiple = tuple([(a + b) % o for a, b, o in zip(multiple, g, orders)])
     return span
 
 
 class Subgroup(Value):
-    """An enumerated subgroup of a model, canonically sorted.
+    """The least subgroup of a model that contains the given classes.
 
-    Closure is validated by spanning the set from a greedy generating set,
-    at most log2|H| generators and one addition per element (see _span),
-    so checking costs O(|H|) additions rather than |H|^2.  Membership is a
-    binary search over the sorted exponent vectors: O(log |H|) comparisons.
+    Any classes may be given: the subgroup is their span, so closure holds
+    by construction and nothing is rejected but a class of another model.
+    Building it costs one span (see _span), one addition per element, and
+    a subgroup's own elements span it again, so a copy is the same value.
+    The elements are kept sorted by exponent vector, and membership is a
+    binary search over them: O(log |H|) comparisons.
     """
 
     __slots__ = ("group", "elements")
 
-    def __init__(self, group: BrauerGroupModel, elements: tuple[BrauerClass, ...]):
-        elems = tuple(sorted(set(elements), key=_class_key))
+    def __init__(self, group: BrauerGroupModel, elements: Iterable[BrauerClass]):
+        elements = tuple(elements)
+        same_model([group, *(a.group for a in elements)], "subgroup elements")
+        span = sorted(_span([a.exponents for a in elements], group.generator_orders))
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "elements", elems)
-        same_model([group, *(a.group for a in elems)], "subgroup elements")
-        members = {a.exponents for a in elems}
-        if (0,) * group.rank not in members:
-            raise PreconditionError("subgroup must contain the zero class")
-        _span(members, group.generator_orders, members)
+        object.__setattr__(
+            self, "elements", tuple([BrauerClass._reduced(group, e) for e in span])
+        )
 
     def __contains__(self, c: object) -> bool:
         if not isinstance(c, BrauerClass):
@@ -393,7 +387,7 @@ class Subgroup(Value):
 def subgroup_generated(
     classes: Sequence[BrauerClass], model: BrauerGroupModel | None = None
 ) -> Subgroup:
-    """Closure of the given classes under addition.
+    """Closure of the given classes under addition: Subgroup(model, classes).
 
     The model argument is only needed for an empty generating set.
     """
@@ -401,9 +395,7 @@ def subgroup_generated(
         if not classes:
             raise PreconditionError("empty generating set needs an explicit model")
         model = classes[0].group
-    same_model([model, *(c.group for c in classes)], "generators")
-    span = _span([c.exponents for c in classes], model.generator_orders)
-    return Subgroup(model, tuple(BrauerClass._reduced(model, e) for e in span))
+    return Subgroup(model, classes)
 
 
 def subgroups_equal(a: Subgroup, b: Subgroup) -> bool:

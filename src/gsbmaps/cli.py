@@ -421,7 +421,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         # verify-examples reports a mismatch as "pass": false
         code = EXIT_INVARIANT if result.get("pass") is False else EXIT_OK
     try:
-        print(text, file=stream)
+        try:
+            print(text, file=stream)
+        except UnicodeEncodeError:
+            # the stream's encoding cannot hold the report: escape it, as
+            # Python does on stderr; a --json report stays valid JSON
+            if stream is sys.stdout and args.json:
+                text = json.dumps(result, indent=2, sort_keys=True)
+            else:
+                escaped = text.encode(stream.encoding, "backslashreplace")
+                text = escaped.decode(stream.encoding)
+            print(text, file=stream)
         stream.flush()
     except BrokenPipeError:
         # the reader has gone: send what is left to devnull, so the flush

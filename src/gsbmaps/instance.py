@@ -164,12 +164,12 @@ def load_instance(doc: object, source: str = "<instance>") -> Instance:
                 )
             exponents[pos] = value % orders[pos]
         degree = _expect(spec, "degree", int, what)
-        if _p_power_exponent(degree, prime) is None:
-            raise InstanceFormatError(
-                f"{what}: degree {degree} is not a power of the prime {prime}"
-            )
         algebra = AlgebraSpec(BrauerClass._reduced(model, tuple(exponents)), name)
         if algebra.degree != degree:
+            if _p_power_exponent(degree, prime) is None:
+                raise InstanceFormatError(
+                    f"{what}: degree {degree} is not a power of the prime {prime}"
+                )
             raise InstanceFormatError(
                 f"{source}: algebra {name}: not a division algebra of the declared "
                 f"degree (model index {algebra.degree}, declared degree {degree})"

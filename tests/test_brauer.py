@@ -414,10 +414,15 @@ class TestSubgroups:
         with pytest.raises(ModelMismatchError):
             subgroups_equal(a, b)
 
-    def test_not_closed_rejected(self):
+    def test_not_closed_set_gives_its_span(self):
+        # {0, 1} is not closed in Z/4; its span is all of Z/4
         m = BrauerGroupModel(2, (4,))
-        with pytest.raises(PreconditionError):
-            Subgroup(m, (m.zero(), m.element((1,))))
+        sub = Subgroup(m, (m.zero(), m.element((1,))))
+        assert list(sub) == [m.element((e,)) for e in range(4)]
+
+    def test_no_classes_give_the_trivial_subgroup(self):
+        m = BrauerGroupModel(2, (4, 2))
+        assert Subgroup(m, ()).elements == (m.zero(),)
 
     @pytest.mark.parametrize(
         "model,subgroups",
@@ -429,24 +434,20 @@ class TestSubgroups:
         ids=["Z4xZ2", "Z2^3", "Z9"],
     )
     def test_validation_matches_pairwise_oracle_on_every_subset(self, model, subgroups):
-        # every subset of the model: those with zero are accepted exactly
-        # when closed, those without zero fail the zero check first
+        # every subset of the model spans its closure; a subset that is
+        # already a subgroup gives back itself
         orders = model.generator_orders
         elements = list(model.elements())
-        accepted = 0
+        spans = set()
         for mask in range(1 << len(elements)):
             subset = [c for j, c in enumerate(elements) if mask >> j & 1]
             vecs = [c.exponents for c in subset]
-            if model.zero() not in subset:
-                with pytest.raises(PreconditionError, match="zero class"):
-                    Subgroup(model, tuple(subset))
-            elif oracle_is_closed(orders, vecs):
-                assert {c.exponents for c in Subgroup(model, tuple(subset))} == set(vecs)
-                accepted += 1
-            else:
-                with pytest.raises(PreconditionError, match="not closed under addition"):
-                    Subgroup(model, tuple(subset))
-        assert accepted == subgroups
+            got = {c.exponents for c in Subgroup(model, tuple(subset))}
+            assert got == oracle_closure(orders, vecs)
+            if model.zero() in subset and oracle_is_closed(orders, vecs):
+                assert got == set(vecs)
+            spans.add(frozenset(got))
+        assert len(spans) == subgroups
 
     @pytest.mark.parametrize("model", ENUMERATED_MODELS, ids=str)
     def test_membership_matches_brute_force(self, model):

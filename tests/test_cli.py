@@ -611,3 +611,44 @@ class TestClosedStderr:
             os.close(write_fd)
         assert proc.returncode == code
         assert proc.stdout == ""
+
+
+def run_with_encoding(encoding, *argv):
+    """python -m gsbmaps with stdout and stderr in the given encoding."""
+    return subprocess.run(
+        [sys.executable, "-m", "gsbmaps", *argv],
+        capture_output=True,
+        encoding="utf-8",
+        env=dict(os.environ, PYTHONIOENCODING=encoding),
+    )
+
+
+class TestUnencodableOutput:
+    def test_ascii_text_report_is_escaped(self, biq_path):
+        proc = run_with_encoding("ascii", "-i", biq_path, "index", "--algebra", "Δ1")
+        assert proc.returncode == 0
+        assert proc.stdout == "index of \\u03941: 4 (degree 4)\n"
+        assert proc.stderr == ""
+
+    def test_ascii_json_report_is_the_same_json(self):
+        ascii_run = run_with_encoding("ascii", "--json", "verify-examples")
+        utf8_run = run_with_encoding("utf-8", "--json", "verify-examples")
+        assert ascii_run.returncode == utf8_run.returncode == 0
+        assert ascii_run.stderr == ""
+        assert json.loads(ascii_run.stdout) == json.loads(utf8_run.stdout)
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_surrogate_algebra_name(self, tmp_path, json_flag):
+        # "\ud800" is valid JSON but cannot be encoded in UTF-8
+        path = tmp_path / "surrogate.json"
+        algebras = {"\ud800": {"class": {"g1": 1}, "degree": 4}, **MIXED_DOC["algebras"]}
+        doc = dict(MIXED_DOC, algebras=algebras, varieties={"left": "X(1;\ud800)"})
+        path.write_text(json.dumps(doc), encoding="ascii")
+        argv = [*json_flag, "equivalent", "--left", "left", "--right", "X(1;D1)"]
+        proc = run_with_encoding("utf-8", "-i", str(path), *argv)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        if json_flag:
+            assert json.loads(proc.stdout)["left"] == "X(1;\ud800)"
+        else:
+            assert "X(1;\\ud800)" in proc.stdout
