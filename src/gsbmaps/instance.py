@@ -12,7 +12,8 @@ Instance schema::
 
 Generators omitted from a class map default to exponent 0.  Declared degrees
 must match the model index of the class (division algebras only); violations
-are load-time errors naming the offending field.
+are load-time errors naming the offending field.  A load checks every name but
+works out each distinct class's model index once, for the first name with it.
 
 Expression grammar::
 
@@ -44,10 +45,10 @@ def _check_name(name: object, what: str) -> str:
         raise InstanceFormatError(
             f"{what}: name {name!r} has leading or trailing whitespace"
         )
-    bad = _FORBIDDEN_NAME_CHARS.intersection(name)
-    if bad:
+    if not _FORBIDDEN_NAME_CHARS.isdisjoint(name):
+        bad = sorted(_FORBIDDEN_NAME_CHARS.intersection(name))
         raise InstanceFormatError(
-            f"{what}: name {name!r} contains forbidden characters {sorted(bad)}"
+            f"{what}: name {name!r} contains forbidden characters {bad}"
         )
     return name
 
@@ -147,13 +148,15 @@ def load_instance(doc: object, source: str = "<instance>") -> Instance:
 
     algebras_doc = _expect(doc, "algebras", dict, source)
     algebras: dict[str, AlgebraSpec] = {}
+    # the first spec of each reduced class; later names get a relabelled copy
+    specs: dict[tuple[int, ...], AlgebraSpec] = {}
     for name, spec in algebras_doc.items():
         what = f"{source}: algebra {name!r}"
         _check_name(name, what)
         if not isinstance(spec, dict):
             raise InstanceFormatError(f"{what}: must be an object")
         class_map = _expect(spec, "class", dict, what)
-        exponents = [0] * model.rank
+        exponents = [0] * len(orders)
         for gen, value in class_map.items():
             pos = positions.get(gen)
             if pos is None:
@@ -164,7 +167,11 @@ def load_instance(doc: object, source: str = "<instance>") -> Instance:
                 )
             exponents[pos] = value % orders[pos]
         degree = _expect(spec, "degree", int, what)
-        algebra = AlgebraSpec(BrauerClass._reduced(model, tuple(exponents)), name)
+        key = tuple(exponents)
+        if key in specs:
+            algebra = specs[key]._relabelled(name)
+        else:
+            algebra = specs[key] = AlgebraSpec(BrauerClass._reduced(model, key), name)
         if algebra.degree != degree:
             if _p_power_exponent(degree, prime) is None:
                 raise InstanceFormatError(

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
+import random
 import time
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -12,6 +16,8 @@ from hypothesis import strategies as st
 
 import gsbmaps
 from gsbmaps import (
+    AlgebraSpec,
+    BrauerGroupModel,
     GSBProduct,
     InstanceFormatError,
     PreconditionError,
@@ -19,6 +25,8 @@ from gsbmaps import (
     parse_instance,
     parse_variety_expression,
 )
+from gsbmaps import brauer
+from helpers import oracle_index, oracle_valuation
 
 FIXTURES = Path(gsbmaps.__file__).parent / "fixtures"
 
@@ -157,8 +165,8 @@ class TestLoadInstance:
         assert str(inst.varieties["left"]) == "X(2;Δ1) x X(2;Δ2)"
 
 
-def _set(path, value):
-    """Load the biquaternion document with the entry at path set to value."""
+def _edit(path, change):
+    """Load the biquaternion document after change(entry, key) at path."""
 
     def load():
         doc = _biquaternion_doc()
@@ -166,64 +174,419 @@ def _set(path, value):
         entry = doc
         for part in parents:
             entry = entry[part]
-        entry[key] = value
+        change(entry, key)
         load_instance(doc)
 
     return load
 
 
-# id -> (a call that must fail, the message naming the offending field)
+def _set(path, value):
+    """Load the biquaternion document with the entry at path set to value."""
+    return _edit(path, lambda entry, key: entry.__setitem__(key, value))
+
+
+def _drop(path):
+    """Load the biquaternion document with the entry at path removed."""
+    return _edit(path, lambda entry, key: entry.__delitem__(key))
+
+
+def _list_error(names):
+    return lambda: load_instance(_biquaternion_doc()).algebra_list(names)
+
+
+_Q1 = {"class": {"q1": 1}, "degree": 2}
+
+# id -> (a call that must fail, its whole message, which names the field)
 LOAD_ERRORS = {
-    "empty-name": (_set(("generators", 0, "name"), ""), "generator #1: name must"),
-    "non-string-name": (_set(("generators", 0, "name"), 7), "generator #1: name must"),
-    "padded-name": (_set(("generators", 0, "name"), " q1"), "name ' q1' has leading"),
-    "string-prime": (_set(("prime",), "2"), "'prime' must be an integer, got a string"),
-    "top-level-list": (lambda: load_instance([]), "top level must be a JSON object"),
-    "no-generators": (_set(("generators",), []), "'generators' must be nonempty"),
+    "empty-name": (
+        _set(("generators", 0, "name"), ""),
+        "<instance>: generator #1: name must be a nonempty string",
+    ),
+    "non-string-name": (
+        _set(("generators", 0, "name"), 7),
+        "<instance>: generator #1: name must be a nonempty string",
+    ),
+    "padded-name": (
+        _set(("generators", 0, "name"), " q1"),
+        "<instance>: generator #1: name ' q1' has leading or trailing whitespace",
+    ),
+    "string-prime": (
+        _set(("prime",), "2"),
+        "<instance>: 'prime' must be an integer, got a string",
+    ),
+    "top-level-list": (
+        lambda: load_instance([]),
+        "<instance>: top level must be a JSON object",
+    ),
+    "no-generators": (
+        _set(("generators",), []),
+        "<instance>: 'generators' must be nonempty",
+    ),
     "object-generators": (
         _set(("generators",), {}),
-        "'generators' must be a list, got an object",
+        "<instance>: 'generators' must be a list, got an object",
     ),
-    "generator-not-object": (_set(("generators", 0), "q1"), "generator #1: must be"),
-    "algebra-not-object": (_set(("algebras", "Δ1"), 4), "algebra 'Δ1': must be"),
-    "float-order": (_set(("generators", 0, "order"), 2.0), r"'q1'\): 'order' must"),
-    "bool-order": (_set(("generators", 0, "order"), True), r"'q1'\): 'order' must"),
+    "generator-not-object": (
+        _set(("generators", 0), "q1"),
+        "<instance>: generator #1: must be an object",
+    ),
+    "algebra-not-object": (
+        _set(("algebras", "Δ1"), 4),
+        "<instance>: algebra 'Δ1': must be an object",
+    ),
+    "float-order": (
+        _set(("generators", 0, "order"), 2.0),
+        "<instance>: generator #1 ('q1'): 'order' must be an integer",
+    ),
+    "bool-order": (
+        _set(("generators", 0, "order"), True),
+        "<instance>: generator #1 ('q1'): 'order' must be an integer",
+    ),
     "float-exponent": (
         _set(("algebras", "Δ1", "class", "q1"), 2.0),
-        "algebra 'Δ1': exponent of 'q1' must be an integer",
+        "<instance>: algebra 'Δ1': exponent of 'q1' must be an integer",
     ),
     "bool-exponent": (
         _set(("algebras", "Δ1", "class", "q1"), True),
-        "algebra 'Δ1': exponent of 'q1' must be an integer",
+        "<instance>: algebra 'Δ1': exponent of 'q1' must be an integer",
+    ),
+    "null-exponent": (
+        _set(("algebras", "Δ1", "class", "q1"), None),
+        "<instance>: algebra 'Δ1': exponent of 'q1' must be an integer",
+    ),
+    "algebras-not-object": (
+        _set(("algebras",), []),
+        "<instance>: 'algebras' must be an object, got a list",
+    ),
+    "missing-algebras": (
+        _drop(("algebras",)),
+        "<instance>: missing required key 'algebras'",
+    ),
+    "algebra-empty-name": (
+        _set(("algebras", ""), _Q1),
+        "<instance>: algebra '': name must be a nonempty string",
+    ),
+    "algebra-non-string-name": (
+        _set(("algebras", 7), _Q1),
+        "<instance>: algebra 7: name must be a nonempty string",
+    ),
+    "algebra-padded-name": (
+        _set(("algebras", "Δ4 "), _Q1),
+        "<instance>: algebra 'Δ4 ': name 'Δ4 ' has leading or trailing whitespace",
+    ),
+    "algebra-forbidden-name": (
+        _set(("algebras", "a;b"), _Q1),
+        "<instance>: algebra 'a;b': name 'a;b' contains forbidden characters [';']",
+    ),
+    "missing-class": (
+        _drop(("algebras", "Δ1", "class")),
+        "<instance>: algebra 'Δ1': missing required key 'class'",
+    ),
+    "list-class": (
+        _set(("algebras", "Δ1", "class"), [["q1", 1]]),
+        "<instance>: algebra 'Δ1': 'class' must be an object, got a list",
+    ),
+    "null-class": (
+        _set(("algebras", "Δ1", "class"), None),
+        "<instance>: algebra 'Δ1': 'class' must be an object, got null",
+    ),
+    "unknown-generator": (
+        _set(("algebras", "Δ1", "class", "zz"), 1),
+        "<instance>: algebra 'Δ1': unknown generator 'zz'",
+    ),
+    "missing-degree": (
+        _drop(("algebras", "Δ1", "degree")),
+        "<instance>: algebra 'Δ1': missing required key 'degree'",
+    ),
+    "string-degree": (
+        _set(("algebras", "Δ1", "degree"), "4"),
+        "<instance>: algebra 'Δ1': 'degree' must be an integer, got a string",
+    ),
+    "bool-degree": (
+        _set(("algebras", "Δ1", "degree"), True),
+        "<instance>: algebra 'Δ1': 'degree' must be an integer, got a boolean",
+    ),
+    "float-degree": (
+        _set(("algebras", "Δ1", "degree"), 4.0),
+        "<instance>: algebra 'Δ1': 'degree' must be an integer, got a number",
+    ),
+    "tuple-degree": (
+        _set(("algebras", "Δ1", "degree"), (4,)),
+        "<instance>: algebra 'Δ1': 'degree' must be an integer, got tuple",
+    ),
+    "non-division-degree": (
+        _set(("algebras", "Δ1", "degree"), 8),
+        "<instance>: algebra Δ1: not a division algebra of the declared degree "
+        "(model index 4, declared degree 8)",
+    ),
+    "zero-degree": (
+        _set(("algebras", "Δ1", "degree"), 0),
+        "<instance>: algebra 'Δ1': degree 0 is not a power of the prime 2",
+    ),
+    "aliases-not-object": (
+        _set(("aliases",), ["Delta1"]),
+        "<instance>: 'aliases' must be an object, got a list",
+    ),
+    "alias-padded-name": (
+        _set(("aliases", " D"), "Δ1"),
+        "<instance>: alias ' D': name ' D' has leading or trailing whitespace",
+    ),
+    "alias-collision": (
+        _set(("aliases", "Δ2"), "Δ1"),
+        "<instance>: alias 'Δ2': collides with an algebra name",
+    ),
+    "alias-unknown-target": (
+        _set(("aliases", "D9"), "Δ9"),
+        "<instance>: alias 'D9': unknown target algebra 'Δ9'",
+    ),
+    "alias-list-target": (
+        _set(("aliases", "D9"), ["Δ1"]),
+        "<instance>: alias 'D9': unknown target algebra ['Δ1']",
+    ),
+    "alias-of-alias": (
+        _set(("aliases", "D9"), "Delta1"),
+        "<instance>: alias 'D9': unknown target algebra 'Delta1'",
     ),
     "variety-not-string": (
         _set(("varieties",), {"v": 5}),
-        "variety 'v': expression must be a string",
+        "<instance>: variety 'v': expression must be a string",
     ),
-    "malformed-variety": (_set(("varieties",), {"v": "X(2;Δ1"}), "variety 'v': "),
+    "malformed-variety": (
+        _set(("varieties",), {"v": "X(2;Δ1"}),
+        "<instance>: variety 'v': expected a factor X(m;NAME) at position 0 in "
+        "'X(2;Δ1'",
+    ),
     "out-of-range-variety": (
         _set(("varieties",), {"v": "X(4;Δ1)"}),
-        "variety 'v': k=2 out of range",
+        "<instance>: variety 'v': k=2 out of range for an algebra of degree 4 "
+        "(need 0 <= k < 2)",
     ),
-    "empty-algebra-list": (
-        lambda: load_instance(_biquaternion_doc()).algebra_list(" , "),
-        "empty algebra list",
-    ),
+    "empty-algebra-list": (_list_error(" , "), "empty algebra list"),
     "empty-entry-inside-list": (
-        lambda: load_instance(_biquaternion_doc()).algebra_list("Δ1,,Δ2"),
+        _list_error("Δ1,,Δ2"),
         "empty entry in algebra list 'Δ1,,Δ2'",
     ),
-    "empty-entry-at-end": (
-        lambda: load_instance(_biquaternion_doc()).algebra_list("Δ1, "),
-        "empty entry in algebra list 'Δ1, '",
-    ),
+    "empty-entry-at-end": (_list_error("Δ1, "), "empty entry in algebra list 'Δ1, '"),
 }
 
 
-@pytest.mark.parametrize("call, match", LOAD_ERRORS.values(), ids=LOAD_ERRORS)
-def test_load_error_names_the_field(call, match):
-    with pytest.raises(InstanceFormatError, match=match):
+@pytest.mark.parametrize("call, message", LOAD_ERRORS.values(), ids=LOAD_ERRORS)
+def test_load_error_names_the_field(call, message):
+    with pytest.raises(InstanceFormatError) as info:
         call()
+    assert str(info.value) == message
+
+
+def _two_algebras(first, second):
+    """The biquaternion document whose algebras are first, then second."""
+    doc = _biquaternion_doc()
+    doc["algebras"] = dict([first, second])
+    del doc["aliases"]
+    return doc
+
+
+_UNKNOWN_GENERATOR = ("A", {"class": {"zz": 1}, "degree": 2})
+_BAD_NAME = ("a;b", _Q1)
+
+
+class TestFaultPrecedence:
+    """With two faults in a document, the first in document order wins."""
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            (
+                _UNKNOWN_GENERATOR,
+                _BAD_NAME,
+                "<instance>: algebra 'A': unknown generator 'zz'",
+            ),
+            (
+                _BAD_NAME,
+                _UNKNOWN_GENERATOR,
+                "<instance>: algebra 'a;b': name 'a;b' contains forbidden "
+                "characters [';']",
+            ),
+            (
+                ("A", {"class": {"q1": 1}}),
+                ("B", {"class": {"q1": 1}, "degree": 4}),
+                "<instance>: algebra 'A': missing required key 'degree'",
+            ),
+            (
+                ("A", {"class": {"q1": 1}, "degree": 4}),
+                ("B", {"class": {"q1": 1}}),
+                "<instance>: algebra A: not a division algebra of the declared "
+                "degree (model index 2, declared degree 4)",
+            ),
+        ],
+    )
+    def test_across_algebras(self, first, second, message):
+        with pytest.raises(InstanceFormatError) as info:
+            load_instance(_two_algebras(first, second))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "name, spec, message",
+        [
+            (
+                "A",
+                {"class": {"q1": 1.5}},
+                "<instance>: algebra 'A': exponent of 'q1' must be an integer",
+            ),
+            (
+                "A",
+                {"class": {"zz": 1, "q1": "1"}, "degree": 8},
+                "<instance>: algebra 'A': unknown generator 'zz'",
+            ),
+            (
+                "a;b",
+                4,
+                "<instance>: algebra 'a;b': name 'a;b' contains forbidden "
+                "characters [';']",
+            ),
+            ("", [], "<instance>: algebra '': name must be a nonempty string"),
+            (
+                "A",
+                {"class": [], "degree": "2"},
+                "<instance>: algebra 'A': 'class' must be an object, got a list",
+            ),
+        ],
+    )
+    def test_within_one_algebra(self, name, spec, message):
+        doc = _biquaternion_doc()
+        doc["algebras"] = {name: spec, **doc["algebras"]}
+        with pytest.raises(InstanceFormatError) as info:
+            load_instance(doc)
+        assert str(info.value) == message
+
+    def test_subclassed_values_load_as_json_values(self):
+        # the loader's type checks use isinstance: subclasses of str, dict
+        # and int load, but a bool never counts as an int
+        class Name(str):
+            pass
+
+        class Count(int):
+            pass
+
+        doc = _biquaternion_doc()
+        doc["algebras"][Name("N")] = OrderedDict(
+            [("class", OrderedDict([("q1", Count(3))])), ("degree", Count(2))]
+        )
+        inst = load_instance(doc)
+        assert inst.algebra("N").brauer_class.exponents == (1, 0, 0)
+        assert inst.algebra("N").label == "N"
+
+
+class TestLoadCost:
+    def _count_index_calls(self, monkeypatch):
+        calls = []
+        real = brauer._index
+
+        def counting(exponents, orders):
+            calls.append(tuple(exponents))
+            return real(exponents, orders)
+
+        monkeypatch.setattr(brauer, "_index", counting)
+        return calls
+
+    def test_index_worked_out_once_per_distinct_class(self, monkeypatch):
+        # 9 names over 4 classes of Z/4 x Z/2, spelled in and out of range
+        spellings = {
+            "A": {"g1": 1},
+            "B": {"g1": 5, "g2": 0},
+            "C": {"g1": -3},
+            "D": {"g2": 1},
+            "E": {"g2": 3, "g1": 4},
+            "F": {"g1": 2, "g2": 1},
+            "G": {"g1": -2, "g2": -1},
+            "H": {},
+            "I": {"g1": 0},
+        }
+        degrees = {"A": 4, "B": 4, "C": 4, "D": 2, "E": 2, "F": 4, "G": 4}
+        doc = {
+            "prime": 2,
+            "generators": [{"name": "g1", "order": 4}, {"name": "g2", "order": 2}],
+            "algebras": {
+                name: {"class": cls, "degree": degrees.get(name, 1)}
+                for name, cls in spellings.items()
+            },
+            "aliases": {"Alias": "C"},
+        }
+        calls = self._count_index_calls(monkeypatch)
+        inst = load_instance(doc)
+        assert sorted(calls) == [(0, 0), (0, 1), (1, 0), (2, 1)]
+        same_class = [("A", "B", "C"), ("D", "E"), ("F", "G"), ("H", "I")]
+        for names in same_class:
+            specs = [inst.algebra(name) for name in names]
+            assert all(s.brauer_class is specs[0].brauer_class for s in specs)
+            assert [s.label for s in specs] == list(names)
+        assert inst.algebra("Alias") is inst.algebra("C")
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_documents_index_each_class_once(self, monkeypatch, seed):
+        doc, expected = _random_document(random.Random(seed))
+        calls = self._count_index_calls(monkeypatch)
+        load_instance(doc)
+        assert len(calls) == len({spec.brauer_class for spec in expected.values()})
+
+
+def _random_document(rng):
+    """A valid random document, and the spec each name must load as."""
+    p = rng.choice((2, 3))
+    orders = tuple(p ** rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+    model = BrauerGroupModel(p, orders)
+    gens = [f"g{i}" for i in range(len(orders))]
+    pool = [
+        tuple(rng.randrange(o) for o in orders) for _ in range(rng.randint(1, 4))
+    ]
+    algebras, expected = {}, {}
+    for i in range(rng.randint(1, 12)):
+        # any integer of the residue class spells an exponent; a zero may
+        # be left out, and the generators come in any order
+        spelled = [e + o * rng.randint(-3, 3) for e, o in zip(rng.choice(pool), orders)]
+        class_map = {
+            g: e for g, e in zip(gens, spelled) if e != 0 or rng.random() < 0.5
+        }
+        class_map = dict(rng.sample(sorted(class_map.items()), len(class_map)))
+        name = f"A{i}"
+        expected[name] = AlgebraSpec(model.element(spelled), name)
+        algebras[name] = {"class": class_map, "degree": expected[name].degree}
+    aliases = {}
+    for j in range(rng.randint(0, 3)):
+        target = rng.choice(sorted(algebras))
+        aliases[f"B{j}"] = target
+        expected[f"B{j}"] = expected[target]
+    doc = {
+        "prime": p,
+        "generators": [{"name": g, "order": o} for g, o in zip(gens, orders)],
+        "algebras": algebras,
+        "aliases": aliases,
+    }
+    return doc, expected
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_loaded_specs_match_the_public_constructor(seed):
+    doc, expected = _random_document(random.Random(seed))
+    inst = load_instance(doc)
+    assert inst.algebras.keys() == expected.keys()
+    orders = inst.model.generator_orders
+    for name, want in expected.items():
+        got = inst.algebra(name)
+        assert got.brauer_class == want.brauer_class
+        assert got.label == want.label
+        assert got.degree_exponent == want.degree_exponent
+        assert str(got) == str(want)
+        assert repr(got) == repr(want)
+        index = oracle_index(orders, got.brauer_class.exponents)
+        assert got.degree_exponent == oracle_valuation(index, inst.model.prime)
+        for twin in (
+            pickle.loads(pickle.dumps(got)),
+            copy.copy(got),
+            copy.deepcopy(got),
+        ):
+            assert twin == got
+            assert twin.label == got.label
+            assert repr(twin) == repr(got)
 
 
 class TestParseInstanceFile:
