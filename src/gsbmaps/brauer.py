@@ -10,7 +10,6 @@ pure.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -329,9 +328,6 @@ def division_algebra(c: BrauerClass, label: str | None = None) -> AlgebraSpec:
     return AlgebraSpec(c, label)
 
 
-_class_key = operator.attrgetter("exponents")
-
-
 def _span(
     generators: Iterable[tuple[int, ...]], orders: tuple[int, ...]
 ) -> set[tuple[int, ...]]:
@@ -364,8 +360,7 @@ class Subgroup(Value):
     by construction and nothing is rejected but a class of another model.
     Building it costs one span (see _span), one addition per element, and
     a subgroup's own elements span it again, so a copy is the same value.
-    The elements are kept sorted by exponent vector, and membership is a
-    binary search over them: O(log |H|) comparisons.
+    The elements are kept sorted by exponent vector.
     """
 
     __slots__ = ("group", "elements")
@@ -380,10 +375,7 @@ class Subgroup(Value):
         )
 
     def __contains__(self, c: object) -> bool:
-        if not isinstance(c, BrauerClass):
-            return False
-        i = bisect.bisect_left(self.elements, c.exponents, key=_class_key)
-        return i < len(self.elements) and self.elements[i] == c
+        return c in self.elements
 
     def __iter__(self) -> Iterator[BrauerClass]:
         return iter(self.elements)

@@ -37,7 +37,7 @@ from .maps import (
     mutual_relation_witness,
 )
 from .motives import compare_families, motives_isomorphic, upper_motive
-from .reduction import GSBProduct, reduced_index
+from .reduction import reduced_index
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -132,8 +132,6 @@ def _cmd_equivalent(args: argparse.Namespace, inst: Instance) -> dict:
     left = inst.product(args.left)
     right = inst.product(args.right)
     rep = equivalent(left, right)
-    if rep.backward is None:
-        raise InvariantViolation("equivalent returned no backward direction")
     payload: dict[str, object] = {
         "left": str(left),
         "right": str(right),
@@ -144,32 +142,22 @@ def _cmd_equivalent(args: argparse.Namespace, inst: Instance) -> dict:
     refuting = [w for w in rep.forward.factors + rep.backward.factors if not w.has_point]
     if refuting:
         payload["refuting_factor"] = str(refuting[0].factor)
-    applicable, relation = _relations_if_applicable(left, right)
-    if applicable:
-        payload["relations"] = None if relation is None else {
-            "left_over_right": [list(r) for r in relation.left_over_right],
-            "right_over_left": [list(r) for r in relation.right_over_left],
-        }
-    return payload
-
-
-def _relations_if_applicable(left: GSBProduct, right: GSBProduct):
-    """Mutual balanced relation matrices, when that criterion applies.
-
-    Applicable means one k across all factors of both products and the
-    criterion's own hypotheses hold; anything else reports inapplicable
-    rather than failing the command.
-    """
+    # balanced relations apply only with one k across both products and the
+    # criterion's own hypotheses; otherwise the report has no "relations"
     ks = {f.k for f in left.factors} | {f.k for f in right.factors}
-    if len(ks) != 1:
-        return False, None
-    try:
-        relation = mutual_relation_witness(
-            list(left.algebras()), list(right.algebras()), ks.pop()
-        )
-    except PreconditionError:
-        return False, None
-    return True, relation
+    if len(ks) == 1:
+        try:
+            relation = mutual_relation_witness(
+                list(left.algebras()), list(right.algebras()), ks.pop()
+            )
+        except PreconditionError:
+            pass
+        else:
+            payload["relations"] = None if relation is None else {
+                "left_over_right": [list(r) for r in relation.left_over_right],
+                "right_over_left": [list(r) for r in relation.right_over_left],
+            }
+    return payload
 
 
 def _cmd_motive_iso(args: argparse.Namespace, inst: Instance) -> dict:

@@ -482,24 +482,66 @@ def _bundled_claims():
             yield path.name, claim
 
 
+def _check_claim_text(name, claim):
+    assert isinstance(claim["claim"], str) and claim["claim"], name
+    assert claim["runs"], (name, claim["claim"])
+
+
+def _check_claim_runs(name, claim):
+    commands = {row[0] for row in cli_mod._COMMANDS} - {"verify-examples"}
+    for run in claim["runs"]:
+        # a misspelt key would check nothing and pass
+        assert {"argv"} < set(run) <= {"argv", "shows", "lacks"}, (name, run)
+        assert run.get("shows") or run.get("lacks"), (name, run)
+        try:
+            args = build_parser().parse_args(run["argv"])
+        except SystemExit:
+            # verify-examples would end in argparse's usage text, no report
+            raise AssertionError(f"{name}: argv {run['argv']} does not parse") from None
+        assert args.command in commands, (name, claim["claim"])
+        assert args.instance is None and not args.json, (name, run)
+
+
+# A well-formed run, and claims that each break it in one way.
+INDEX_RUN = {"argv": ["index", "--algebra", "Δ1"], "shows": {"index": 4}}
+
+
+def _probe(**changes):
+    """A one-run claim whose run is INDEX_RUN with the given keys replaced."""
+    return {"claim": "c", "runs": [{**INDEX_RUN, **changes}]}
+
+
+MALFORMED_CLAIMS = {
+    "empty-text": {**_probe(), "claim": ""},
+    "no-runs": {"claim": "c", "runs": []},
+    "unknown-option": _probe(argv=["index", "--nope", "Δ1"]),
+    "shows-nothing": _probe(shows={}),
+    "misspelt-key": {"claim": "c", "runs": [{"argv": INDEX_RUN["argv"], "show": {"index": 4}}]},
+    "own-instance": _probe(argv=["-i", "x.json", *INDEX_RUN["argv"]]),
+    "verify-examples": _probe(argv=["verify-examples"]),
+}
+
+
 class TestClaimsAsData:
     """The claims verify-examples checks live in the bundled fixtures."""
 
     def test_every_claim_has_text_and_runs(self):
         for name, claim in _bundled_claims():
-            assert isinstance(claim["claim"], str) and claim["claim"], name
-            assert claim["runs"], (name, claim["claim"])
+            _check_claim_text(name, claim)
 
     def test_every_run_is_a_command_that_checks_something(self):
-        commands = {row[0] for row in cli_mod._COMMANDS} - {"verify-examples"}
         for name, claim in _bundled_claims():
-            for run in claim["runs"]:
-                # a misspelt key would check nothing and pass
-                assert {"argv"} < set(run) <= {"argv", "shows", "lacks"}, (name, run)
-                assert run.get("shows") or run.get("lacks"), (name, run)
-                args = build_parser().parse_args(run["argv"])
-                assert args.command in commands, (name, claim["claim"])
-                assert args.instance is None and not args.json, (name, run)
+            _check_claim_runs(name, claim)
+
+    def test_well_formed_claim_is_accepted(self):
+        _check_claim_text("probe", _probe())
+        _check_claim_runs("probe", _probe())
+
+    @pytest.mark.parametrize("claim", MALFORMED_CLAIMS.values(), ids=MALFORMED_CLAIMS)
+    def test_malformed_claim_is_refused(self, claim):
+        with pytest.raises(AssertionError):
+            _check_claim_text("probe", claim)
+            _check_claim_runs("probe", claim)
 
     def test_walks_exactly_the_json_fixtures(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "verify-examples")
@@ -549,6 +591,18 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "all claims hold" in proc.stdout
+
+    def test_cli_module_runs_as_script(self):
+        # python -m gsbmaps.cli runs main only through cli.py's __main__ guard
+        path = FIXTURE_PATHS[0].parent / "biquaternion.json"
+        argv = ["--json", "-i", str(path), "index", "--algebra", "Δ1"]
+        procs = [
+            subprocess.run([sys.executable, "-m", module, *argv], capture_output=True)
+            for module in ("gsbmaps.cli", "gsbmaps")
+        ]
+        assert procs[0].returncode == procs[1].returncode == 0
+        assert procs[0].stdout == procs[1].stdout
+        assert json.loads(procs[0].stdout)["index"] == 4
 
 
 class TestClosedStdout:
