@@ -288,12 +288,16 @@ class AlgebraSpec(Value, compare=("brauer_class",)):
         exponent = vp(generic_index(brauer_class), brauer_class.group.prime)
         object.__setattr__(self, "degree_exponent", exponent)
 
-    def _relabelled(self, label: str | None) -> AlgebraSpec:
-        # self under another label, trusted like BrauerClass._reduced
-        obj = object.__new__(AlgebraSpec)
-        object.__setattr__(obj, "brauer_class", self.brauer_class)
+    @classmethod
+    def _trusted(
+        cls, brauer_class: BrauerClass, label: str | None, degree_exponent: int
+    ) -> AlgebraSpec:
+        # degree_exponent must be vp of the model index of brauer_class; the
+        # slots are written directly, as in BrauerClass._reduced
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "brauer_class", brauer_class)
         object.__setattr__(obj, "label", label)
-        object.__setattr__(obj, "degree_exponent", self.degree_exponent)
+        object.__setattr__(obj, "degree_exponent", degree_exponent)
         return obj
 
     def __reduce__(self) -> tuple:

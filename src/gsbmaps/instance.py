@@ -12,8 +12,12 @@ Instance schema::
 
 Generators omitted from a class map default to exponent 0.  Declared degrees
 must match the model index of the class (division algebras only); violations
-are load-time errors naming the offending field.  A load checks every name but
-works out each distinct class's model index once, for the first name with it.
+are load-time errors naming the offending field.  A load checks every name and
+keeps only each name's reduced exponent vector and each distinct class's model
+index, worked out once for the first name with it.  An AlgebraSpec is built
+when a name is first looked up: names of one class share one BrauerClass, and
+an alias resolves to its target's object.  Named varieties are parsed at load,
+so they build the specs of the names they use.
 
 Expression grammar::
 
@@ -28,10 +32,11 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 
+from . import brauer
 from ._value import Record
-from .brauer import AlgebraSpec, BrauerClass, BrauerGroupModel, _p_power_exponent
+from .brauer import AlgebraSpec, BrauerClass, BrauerGroupModel, _p_power_exponent, vp
 from .errors import InstanceFormatError, PreconditionError
 from .reduction import GSBFactor, GSBProduct
 
@@ -53,16 +58,67 @@ def _check_name(name: object, what: str) -> str:
     return name
 
 
+class _Algebras(Mapping):
+    """The algebras of a loaded instance: every name, then every alias, in
+    document order, each resolving to the AlgebraSpec built on its first
+    lookup (see the module docstring)."""
+
+    __slots__ = ("_model", "_exponents", "_aliases", "_indices", "_classes", "_specs")
+
+    def __init__(
+        self,
+        model: BrauerGroupModel,
+        exponents: dict[str, tuple[int, ...]],
+        aliases: dict[str, str],
+        indices: dict[tuple[int, ...], int],
+    ):
+        self._model = model
+        self._exponents = exponents  # algebra name -> reduced exponent vector
+        self._aliases = aliases  # alias -> algebra name
+        self._indices = indices  # exponent vector -> model index
+        self._classes: dict[tuple[int, ...], BrauerClass] = {}
+        self._specs: dict[str, AlgebraSpec] = {}
+
+    def __getitem__(self, name: str) -> AlgebraSpec:
+        spec = self._specs.get(name)
+        if spec is None:
+            if name in self._aliases:
+                spec = self[self._aliases[name]]
+            else:
+                key = self._exponents[name]
+                cls = self._classes.get(key)
+                if cls is None:
+                    cls = self._classes[key] = BrauerClass._reduced(self._model, key)
+                exponent = vp(self._indices[key], self._model.prime)
+                spec = AlgebraSpec._trusted(cls, name, exponent)
+            self._specs[name] = spec
+        return spec
+
+    def __iter__(self) -> Iterator[str]:
+        yield from self._exponents
+        yield from self._aliases
+
+    def __len__(self) -> int:
+        return len(self._exponents) + len(self._aliases)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 class Instance(Record):
     """A loaded instance: the group model plus named algebras and varieties.
 
-    algebras maps every algebra name and every alias to its AlgebraSpec.
+    algebras maps every algebra name and every alias to its AlgebraSpec: a
+    dict, or for a loaded instance a mapping that builds each on lookup.
     """
 
     __slots__ = ("model", "algebras", "varieties")
 
     def __init__(
-        self, model: BrauerGroupModel, algebras: dict, varieties: dict | None = None
+        self,
+        model: BrauerGroupModel,
+        algebras: Mapping[str, AlgebraSpec],
+        varieties: dict | None = None,
     ):
         self.model = model
         self.algebras = algebras
@@ -147,9 +203,8 @@ def load_instance(doc: object, source: str = "<instance>") -> Instance:
         raise InstanceFormatError(f"{source}: {exc}") from exc
 
     algebras_doc = _expect(doc, "algebras", dict, source)
-    algebras: dict[str, AlgebraSpec] = {}
-    # the first spec of each reduced class; later names get a relabelled copy
-    specs: dict[tuple[int, ...], AlgebraSpec] = {}
+    exponents_of: dict[str, tuple[int, ...]] = {}
+    indices: dict[tuple[int, ...], int] = {}
     for name, spec in algebras_doc.items():
         what = f"{source}: algebra {name!r}"
         _check_name(name, what)
@@ -168,21 +223,21 @@ def load_instance(doc: object, source: str = "<instance>") -> Instance:
             exponents[pos] = value % orders[pos]
         degree = _expect(spec, "degree", int, what)
         key = tuple(exponents)
-        if key in specs:
-            algebra = specs[key]._relabelled(name)
-        else:
-            algebra = specs[key] = AlgebraSpec(BrauerClass._reduced(model, key), name)
-        if algebra.degree != degree:
+        index = indices.get(key)
+        if index is None:
+            index = indices[key] = brauer._index(key, model.generator_orders)
+        if index != degree:
             if _p_power_exponent(degree, prime) is None:
                 raise InstanceFormatError(
                     f"{what}: degree {degree} is not a power of the prime {prime}"
                 )
             raise InstanceFormatError(
                 f"{source}: algebra {name}: not a division algebra of the declared "
-                f"degree (model index {algebra.degree}, declared degree {degree})"
+                f"degree (model index {index}, declared degree {degree})"
             )
-        algebras[name] = algebra
+        exponents_of[name] = key
 
+    aliases: dict[str, str] = {}
     if "aliases" in doc:
         aliases_doc = _expect(doc, "aliases", dict, source)
         for alias, target in aliases_doc.items():
@@ -193,9 +248,9 @@ def load_instance(doc: object, source: str = "<instance>") -> Instance:
             # an alias names an algebra, never another alias
             if not isinstance(target, str) or target not in algebras_doc:
                 raise InstanceFormatError(f"{what}: unknown target algebra {target!r}")
-            algebras[alias] = algebras[target]
+            aliases[alias] = target
 
-    instance = Instance(model, algebras)
+    instance = Instance(model, _Algebras(model, exponents_of, aliases, indices))
 
     if "varieties" in doc:
         varieties_doc = _expect(doc, "varieties", dict, source)

@@ -389,6 +389,46 @@ _UNKNOWN_GENERATOR = ("A", {"class": {"zz": 1}, "degree": 2})
 _BAD_NAME = ("a;b", _Q1)
 
 
+def _algebra_fault(rng, name, spec, degree, prime):
+    """One algebra entry with a random fault, and the message it must raise."""
+    what = f"<instance>: algebra {name!r}"
+    kind = rng.randrange(8)
+    if kind == 0:
+        bad = rng.choice((f"{name};", f"({name}", f" {name}"))
+        if bad.startswith(" "):
+            problem = "has leading or trailing whitespace"
+        else:
+            problem = f"contains forbidden characters {sorted(set(bad) & set('();'))}"
+        return (bad, spec), f"<instance>: algebra {bad!r}: name {bad!r} {problem}"
+    if kind == 1:
+        return (name, rng.choice((4, [], "x", None))), f"{what}: must be an object"
+    if kind == 2:
+        items = list(spec["class"].items())
+        items.insert(rng.randint(0, len(items)), ("zz", 1))
+        spec["class"] = dict(items)
+        return (name, spec), f"{what}: unknown generator 'zz'"
+    if kind == 3:
+        gen = rng.choice(("g0", *spec["class"]))
+        spec["class"] = {**spec["class"], gen: rng.choice((1.5, "1", None, True))}
+        return (name, spec), f"{what}: exponent of {gen!r} must be an integer"
+    if kind == 4:
+        spec["degree"] = rng.choice((True, False))
+        return (name, spec), f"{what}: 'degree' must be an integer, got a boolean"
+    if kind == 5:
+        del spec["degree"]
+        return (name, spec), f"{what}: missing required key 'degree'"
+    if kind == 6:
+        spec["degree"] = degree * prime + 1
+        return (name, spec), (
+            f"{what}: degree {degree * prime + 1} is not a power of the prime {prime}"
+        )
+    spec["degree"] = degree * prime
+    return (name, spec), (
+        f"<instance>: algebra {name}: not a division algebra of the declared "
+        f"degree (model index {degree}, declared degree {degree * prime})"
+    )
+
+
 class TestFaultPrecedence:
     """With two faults in a document, the first in document order wins."""
 
@@ -457,6 +497,37 @@ class TestFaultPrecedence:
         with pytest.raises(InstanceFormatError) as info:
             load_instance(doc)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_earliest_of_random_faults_wins(self, seed):
+        rng = random.Random(f"faults:{seed}")
+        doc, expected = _random_document(rng)
+        entries = list(doc["algebras"].items())
+        aliases = list(doc["aliases"].items())
+        # document order: every algebra entry, then every alias
+        slots = len(entries) + len(aliases) + 1
+        faults = {}
+        for pos in rng.sample(range(slots), min(slots, rng.randint(1, 2))):
+            if pos < len(entries):
+                name, spec = entries[pos]
+                entries[pos], faults[pos] = _algebra_fault(
+                    rng, name, dict(spec), expected[name].degree, doc["prime"]
+                )
+            else:
+                # an alias that collides with an algebra name, replacing or
+                # following the aliases
+                taken = rng.choice(sorted(doc["algebras"]))
+                alias = (taken, rng.choice(sorted(doc["algebras"])))
+                faults[pos] = f"<instance>: alias {taken!r}: collides with an algebra name"
+                if pos - len(entries) < len(aliases):
+                    aliases[pos - len(entries)] = alias
+                else:
+                    aliases.append(alias)
+        doc["algebras"] = dict(entries)
+        doc["aliases"] = dict(aliases)
+        with pytest.raises(InstanceFormatError) as info:
+            load_instance(doc)
+        assert str(info.value) == faults[min(faults)]
 
     def test_subclassed_values_load_as_json_values(self):
         # the loader's type checks use isinstance: subclasses of str, dict
@@ -527,6 +598,67 @@ class TestLoadCost:
         calls = self._count_index_calls(monkeypatch)
         load_instance(doc)
         assert len(calls) == len({spec.brauer_class for spec in expected.values()})
+
+    def _count_spec_builds(self, monkeypatch):
+        built = []
+        real_init = AlgebraSpec.__init__
+        real_trusted = AlgebraSpec._trusted.__func__
+
+        def init(self, brauer_class, label=None):
+            built.append(label)
+            real_init(self, brauer_class, label)
+
+        def trusted(cls, brauer_class, label, degree_exponent):
+            built.append(label)
+            return real_trusted(cls, brauer_class, label, degree_exponent)
+
+        monkeypatch.setattr(AlgebraSpec, "__init__", init)
+        monkeypatch.setattr(AlgebraSpec, "_trusted", classmethod(trusted))
+        return built
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_specs_are_built_on_lookup(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        doc, expected = _random_document(rng)
+        built = self._count_spec_builds(monkeypatch)
+        calls = self._count_index_calls(monkeypatch)
+        inst = load_instance(doc)
+        assert built == []
+        names = rng.sample(sorted(doc["algebras"]), rng.randint(1, len(doc["algebras"])))
+        specs = [inst.algebra(name) for name in names]
+        assert built == names
+        assert all(inst.algebra(n) is s for n, s in zip(names, specs))
+        assert built == names
+        for alias, target in doc["aliases"].items():
+            assert inst.algebra(alias) is inst.algebra(target)
+        assert len(built) == len({*names, *doc["aliases"].values()})
+        for name in doc["algebras"]:
+            inst.algebra(name)
+        assert len(built) == len(doc["algebras"])
+        assert len(calls) == len({spec.brauer_class for spec in expected.values()})
+        by_class = {}
+        for name in doc["algebras"]:
+            spec = inst.algebra(name)
+            first = by_class.setdefault(spec.brauer_class, spec.brauer_class)
+            assert spec.brauer_class is first
+
+    def test_alias_looked_up_first_builds_its_target_once(self, monkeypatch):
+        built = self._count_spec_builds(monkeypatch)
+        inst = load_instance(_biquaternion_doc())
+        alias = inst.algebra("Delta1")
+        assert built == ["Δ1"]
+        assert inst.algebra("Δ1") is alias
+        assert alias.label == "Δ1"
+        assert built == ["Δ1"]
+
+    def test_named_variety_builds_only_the_names_it_uses(self, monkeypatch):
+        doc = _biquaternion_doc()
+        doc["varieties"] = {"left": "X(2;Delta1) x X(1;Δ3)"}
+        built = self._count_spec_builds(monkeypatch)
+        inst = load_instance(doc)
+        assert built == ["Δ1", "Δ3"]
+        assert inst.varieties["left"].factors[0].algebra is inst.algebra("Δ1")
+        assert built == ["Δ1", "Δ3"]
 
 
 def _random_document(rng):

@@ -34,6 +34,7 @@ from gsbmaps import (
     compare_families,
     division_algebra,
     equivalent,
+    load_instance,
     mutual_relation_witness,
     subgroup_generated,
 )
@@ -201,6 +202,65 @@ def test_instance_stays_mutable_and_unhashable():
     assert inst.algebras["Δ1"] == _algebra()
     with pytest.raises(TypeError):
         hash(inst)
+
+
+LOADED_DOC = {
+    "prime": 2,
+    "generators": [{"name": f"q{i}", "order": 2} for i in (1, 2, 3)],
+    "algebras": {
+        "Δ1": {"class": {"q1": 1, "q2": 1}, "degree": 4},
+        "Δ2": {"class": {"q1": 1, "q3": 1}, "degree": 4},
+        "E1": {"class": {"q2": 3, "q1": -1}, "degree": 4},
+    },
+    "aliases": {"D2": "Δ2", "D1": "Δ1"},
+    "varieties": {"X": "X(2;D1)"},
+}
+
+
+def _loaded():
+    return load_instance(LOADED_DOC)
+
+
+def test_loaded_instance_is_a_value():
+    a, b = _loaded(), _loaded()
+    b.algebra("D2")  # one instance partly looked up, the other not at all
+    assert a is not b
+    assert repr(a) == repr(b)
+    assert " at 0x" not in repr(a)
+    assert a == b
+    assert list(a.algebras) == ["Δ1", "Δ2", "E1", "D2", "D1"]
+    assert len(a.algebras) == 5
+    assert "D1" in a.algebras and "q1" not in a.algebras
+    assert a.algebras.get("q1") is None
+    d1, d2 = _algebra("Δ1"), AlgebraSpec(_model().element((1, 0, 1)), "Δ2")
+    by_dict = Instance(
+        _model(),
+        {"Δ1": d1, "Δ2": d2, "E1": _algebra("E1"), "D2": d2, "D1": d1},
+        {"X": GSBProduct((GSBFactor(d1, 1),))},
+    )
+    assert a == by_dict
+    assert repr(a) == repr(by_dict)
+    assert by_dict.algebra("D1") is by_dict.algebra("Δ1")
+
+
+def test_loaded_instance_pickles_and_copies():
+    inst = _loaded()
+    inst.algebra("E1")
+    for twin in (
+        pickle.loads(pickle.dumps(inst)),
+        copy.copy(inst),
+        copy.deepcopy(inst),
+    ):
+        assert twin == inst
+        assert repr(twin) == repr(inst)
+        assert list(twin.algebras) == list(inst.algebras)
+        for name in inst.algebras:
+            got, want = twin.algebra(name), inst.algebra(name)
+            assert got.brauer_class == want.brauer_class
+            assert got.label == want.label
+            assert got.degree_exponent == want.degree_exponent
+        assert twin.algebra("D1") is twin.algebra("Δ1")
+        assert twin.algebra("E1").brauer_class is twin.algebra("Δ1").brauer_class
 
 
 def test_results_of_the_decisions_round_trip():
