@@ -12,12 +12,16 @@ Instance schema::
 
 Generators omitted from a class map default to exponent 0.  Declared degrees
 must match the model index of the class (division algebras only); violations
-are load-time errors naming the offending field.  A load checks every name and
-keeps only each name's reduced exponent vector and each distinct class's model
-index, worked out once for the first name with it.  An AlgebraSpec is built
-when a name is first looked up: names of one class share one BrauerClass, and
-an alias resolves to its target's object.  Named varieties are parsed at load,
-so they build the specs of the names they use.
+are load-time errors naming the offending field.
+
+A load is one pass of checks that builds no algebra, factor or product.  It
+keeps each name's reduced exponent vector, each distinct class's model index
+(worked out once, for the first name with it), and each named variety's
+(name, k) pairs, scanned and range-checked against those indices.  An
+AlgebraSpec is built when a name is first looked up: names of one class share
+one BrauerClass, and an alias resolves to its target's object.  A named
+variety's GSBProduct is built when the variety is first looked up, from the
+specs of the names it uses.
 
 Expression grammar::
 
@@ -32,13 +36,13 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from . import brauer
 from ._value import Record
 from .brauer import AlgebraSpec, BrauerClass, BrauerGroupModel, _p_power_exponent, vp
 from .errors import InstanceFormatError, PreconditionError
-from .reduction import GSBFactor, GSBProduct
+from .reduction import GSBFactor, GSBProduct, _factor_k
 
 _FORBIDDEN_NAME_CHARS = set("();,")
 
@@ -89,10 +93,17 @@ class _Algebras(Mapping):
                 cls = self._classes.get(key)
                 if cls is None:
                     cls = self._classes[key] = BrauerClass._reduced(self._model, key)
-                exponent = vp(self._indices[key], self._model.prime)
-                spec = AlgebraSpec._trusted(cls, name, exponent)
+                spec = AlgebraSpec._trusted(cls, name, self.degree_exponent(name))
             self._specs[name] = spec
         return spec
+
+    def degree_exponent(self, name: str) -> int:
+        """The degree exponent of a name or alias, without building its spec."""
+        key = self._exponents[self._aliases.get(name, name)]
+        return vp(self._indices[key], self._model.prime)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._exponents or name in self._aliases
 
     def __iter__(self) -> Iterator[str]:
         yield from self._exponents
@@ -105,11 +116,46 @@ class _Algebras(Mapping):
         return repr(dict(self))
 
 
+class _Varieties(Mapping):
+    """The named varieties of a loaded instance, in document order, each
+    resolving to the GSBProduct built on its first lookup from the (name, k)
+    pairs the load checked."""
+
+    __slots__ = ("_algebras", "_factors", "_products")
+
+    def __init__(
+        self, algebras: _Algebras, factors: dict[str, list[tuple[str, int]]]
+    ):
+        self._algebras = algebras
+        self._factors = factors  # variety name -> (algebra name, k) pairs
+        self._products: dict[str, GSBProduct] = {}
+
+    def __getitem__(self, vname: str) -> GSBProduct:
+        product = self._products.get(vname)
+        if product is None:
+            factors = self._factors[vname]
+            product = self._products[vname] = _product(self._algebras, factors)
+        return product
+
+    def __contains__(self, vname: object) -> bool:
+        return vname in self._factors
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._factors)
+
+    def __len__(self) -> int:
+        return len(self._factors)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 class Instance(Record):
     """A loaded instance: the group model plus named algebras and varieties.
 
-    algebras maps every algebra name and every alias to its AlgebraSpec: a
-    dict, or for a loaded instance a mapping that builds each on lookup.
+    algebras maps every algebra name and every alias to its AlgebraSpec, and
+    varieties maps names to GSBProducts: dicts, or for a loaded instance
+    read-only mappings that build each value on its first lookup.
     """
 
     __slots__ = ("model", "algebras", "varieties")
@@ -118,7 +164,7 @@ class Instance(Record):
         self,
         model: BrauerGroupModel,
         algebras: Mapping[str, AlgebraSpec],
-        varieties: dict | None = None,
+        varieties: Mapping[str, GSBProduct] | None = None,
     ):
         self.model = model
         self.algebras = algebras
@@ -126,10 +172,7 @@ class Instance(Record):
 
     def algebra(self, name: str) -> AlgebraSpec:
         """Resolve an algebra by name or alias."""
-        spec = self.algebras.get(name)
-        if spec is None:
-            raise InstanceFormatError(f"unknown algebra {name!r}")
-        return spec
+        return self.algebras[_known(self.algebras, name)]
 
     def algebra_list(self, names: str) -> list[AlgebraSpec]:
         """Resolve a comma-separated list of algebra names."""
@@ -205,23 +248,35 @@ def load_instance(doc: object, source: str = "<instance>") -> Instance:
     algebras_doc = _expect(doc, "algebras", dict, source)
     exponents_of: dict[str, tuple[int, ...]] = {}
     indices: dict[tuple[int, ...], int] = {}
+    rank = len(orders)
+    # A name or a value that passes a plain test below satisfies its rule:
+    # an alphanumeric string is a name, an exact int is an integer.  Anything
+    # else goes to the helper that owns the rule, which decides and formats
+    # the message, so each rule keeps one home.
     for name, spec in algebras_doc.items():
-        what = f"{source}: algebra {name!r}"
-        _check_name(name, what)
+        if not (isinstance(name, str) and name.isalnum()):
+            _check_name(name, f"{source}: algebra {name!r}")
         if not isinstance(spec, dict):
-            raise InstanceFormatError(f"{what}: must be an object")
-        class_map = _expect(spec, "class", dict, what)
-        exponents = [0] * len(orders)
+            raise InstanceFormatError(f"{source}: algebra {name!r}: must be an object")
+        class_map = spec.get("class")
+        if not isinstance(class_map, dict):
+            class_map = _expect(spec, "class", dict, f"{source}: algebra {name!r}")
+        exponents = [0] * rank
         for gen, value in class_map.items():
             pos = positions.get(gen)
             if pos is None:
-                raise InstanceFormatError(f"{what}: unknown generator {gen!r}")
+                raise InstanceFormatError(
+                    f"{source}: algebra {name!r}: unknown generator {gen!r}"
+                )
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InstanceFormatError(
-                    f"{what}: exponent of {gen!r} must be an integer"
+                    f"{source}: algebra {name!r}: exponent of {gen!r} must be an "
+                    "integer"
                 )
             exponents[pos] = value % orders[pos]
-        degree = _expect(spec, "degree", int, what)
+        degree = spec.get("degree")
+        if type(degree) is not int:
+            degree = _expect(spec, "degree", int, f"{source}: algebra {name!r}")
         key = tuple(exponents)
         index = indices.get(key)
         if index is None:
@@ -229,7 +284,8 @@ def load_instance(doc: object, source: str = "<instance>") -> Instance:
         if index != degree:
             if _p_power_exponent(degree, prime) is None:
                 raise InstanceFormatError(
-                    f"{what}: degree {degree} is not a power of the prime {prime}"
+                    f"{source}: algebra {name!r}: degree {degree} is not a power "
+                    f"of the prime {prime}"
                 )
             raise InstanceFormatError(
                 f"{source}: algebra {name}: not a division algebra of the declared "
@@ -250,8 +306,10 @@ def load_instance(doc: object, source: str = "<instance>") -> Instance:
                 raise InstanceFormatError(f"{what}: unknown target algebra {target!r}")
             aliases[alias] = target
 
-    instance = Instance(model, _Algebras(model, exponents_of, aliases, indices))
-
+    algebras = _Algebras(model, exponents_of, aliases, indices)
+    # each named variety is scanned and its k checked now, so its faults are
+    # load errors; its product is built on first lookup
+    factors_of: dict[str, list[tuple[str, int]]] = {}
     if "varieties" in doc:
         varieties_doc = _expect(doc, "varieties", dict, source)
         for vname, text in varieties_doc.items():
@@ -260,10 +318,13 @@ def load_instance(doc: object, source: str = "<instance>") -> Instance:
             if not isinstance(text, str):
                 raise InstanceFormatError(f"{what}: expression must be a string")
             try:
-                instance.varieties[vname] = parse_variety_expression(text, instance)
+                factors_of[vname] = [
+                    (name, _factor_k(k, algebras.degree_exponent(name), model.prime))
+                    for name, k in _scan(text, model.prime, algebras)
+                ]
             except (InstanceFormatError, PreconditionError) as exc:
                 raise InstanceFormatError(f"{what}: {exc}") from exc
-    return instance
+    return Instance(model, algebras, _Varieties(algebras, factors_of))
 
 
 def parse_instance(path: str | os.PathLike) -> Instance:
@@ -295,8 +356,20 @@ def parse_variety_expression(text: str, instance: Instance) -> GSBProduct:
     factor is checked before the text after it is read, so an error in an
     earlier factor wins over a syntax error later in the text.
     """
-    p = instance.model.prime
-    factors = []
+    algebras = instance.algebras
+    return _product(algebras, _scan(text, instance.model.prime, algebras))
+
+
+def _scan(
+    text: str, prime: int, algebras: Mapping[str, object]
+) -> Iterator[tuple[str, int]]:
+    """Yield (name, k) for each factor of a variety expression, name a key
+    of algebras and p^k its reduced dimension.
+
+    Checks the grammar, the integer, the name and the p-power, and nothing
+    about k.  It is a generator, so a caller that checks k checks each factor
+    before the text after it is read.
+    """
     pos = 0
     while True:
         match = _FACTOR.match(text, pos)
@@ -315,15 +388,29 @@ def parse_variety_expression(text: str, instance: Instance) -> GSBProduct:
             raise InstanceFormatError(
                 f"empty algebra name in the factor at position {pos} in {text!r}"
             )
-        k = _p_power_exponent(m, p)
+        k = _p_power_exponent(m, prime)
         if k is None:
             raise InstanceFormatError(
-                f"reduced dimension {m} is not a power of the prime {p}"
+                f"reduced dimension {m} is not a power of the prime {prime}"
             )
-        factors.append(GSBFactor(instance.algebra(name), k))
+        yield _known(algebras, name), k
         pos = match.end()
         if pos == len(text):
-            return GSBProduct(tuple(factors))
+            return
         if text[pos] != "x":
             raise InstanceFormatError(f"expected 'x' at position {pos} in {text!r}")
         pos += 1
+
+
+def _product(
+    algebras: Mapping[str, AlgebraSpec], factors: Iterable[tuple[str, int]]
+) -> GSBProduct:
+    """The product of X(p^k; algebras[name]) over the (name, k) factors."""
+    return GSBProduct(tuple([GSBFactor(algebras[name], k) for name, k in factors]))
+
+
+def _known(algebras: Mapping[str, object], name: str) -> str:
+    """name, if it is a key of algebras (an algebra name or alias)."""
+    if name not in algebras:
+        raise InstanceFormatError(f"unknown algebra {name!r}")
+    return name

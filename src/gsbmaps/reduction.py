@@ -59,25 +59,36 @@ from .brauer import (
 from .errors import InvariantViolation, PreconditionError
 
 
+def _factor_k(k: object, degree_exponent: int, prime: int) -> int:
+    """k as an integer with 0 <= k < s for an algebra of degree prime**s, s
+    the degree_exponent, else PreconditionError naming k.  The one home of
+    the rule on k: GSBFactor checks it, and so does the instance loader,
+    which knows a named variety's degree exponents without building specs.
+    """
+    k = _integer(k, "k")
+    if not 0 <= k < degree_exponent:
+        raise PreconditionError(
+            f"k={k} out of range for an algebra of degree {prime**degree_exponent} "
+            f"(need 0 <= k < {degree_exponent})"
+        )
+    return k
+
+
 class GSBFactor(Value):
     """X(p^k; D): right ideals of reduced dimension p^k in a division algebra D.
 
-    The constructor is the one home of the rule on k: an integer with
-    0 <= k < s for D of degree p^s, otherwise PreconditionError naming k.
-    Functions that take a bare k (classify_single, mutual_relation_witness)
-    check it by building a GSBFactor.
+    The constructor checks k with _factor_k.  Functions that take a bare k
+    (classify_single, mutual_relation_witness) check it by building a
+    GSBFactor.
     """
 
     __slots__ = ("algebra", "k")
 
     def __init__(self, algebra: AlgebraSpec, k: int):
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "k", _integer(k, "k"))
-        if not 0 <= self.k < self.algebra.degree_exponent:
-            raise PreconditionError(
-                f"k={self.k} out of range for an algebra of degree "
-                f"{self.algebra.degree} (need 0 <= k < {self.algebra.degree_exponent})"
-            )
+        object.__setattr__(
+            self, "k", _factor_k(k, algebra.degree_exponent, algebra.prime)
+        )
 
     @property
     def model(self) -> BrauerGroupModel:

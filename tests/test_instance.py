@@ -6,6 +6,7 @@ import copy
 import json
 import pickle
 import random
+import re
 import time
 from collections import OrderedDict
 from pathlib import Path
@@ -18,6 +19,7 @@ import gsbmaps
 from gsbmaps import (
     AlgebraSpec,
     BrauerGroupModel,
+    GSBFactor,
     GSBProduct,
     InstanceFormatError,
     PreconditionError,
@@ -156,6 +158,15 @@ class TestLoadInstance:
         doc["algebras"]["a;b"] = {"class": {"q1": 1}, "degree": 2}
         with pytest.raises(InstanceFormatError, match="forbidden"):
             load_instance(doc)
+
+    @pytest.mark.parametrize("name", ["D_1", "a b", "x-1", "Δ.2", "q'", "1", "²"])
+    def test_names_beyond_letters_and_digits_load(self, name):
+        doc = _biquaternion_doc()
+        doc["algebras"][name] = {"class": {"q1": 1}, "degree": 2}
+        doc["varieties"] = {"v": f"X(1;{name})"}
+        inst = load_instance(doc)
+        assert inst.algebra(name).label == name
+        assert str(inst.varieties["v"]) == f"X(1;{name})"
 
     def test_named_varieties_parsed(self):
         doc = _biquaternion_doc()
@@ -651,14 +662,79 @@ class TestLoadCost:
         assert alias.label == "Δ1"
         assert built == ["Δ1"]
 
+    def _count_product_builds(self, monkeypatch):
+        """Names of the GSBFactor and GSBProduct classes, once per build."""
+        built = []
+        for kind in (GSBFactor, GSBProduct):
+            real_init = kind.__init__
+
+            def init(self, *args, _real=real_init, **kwargs):
+                built.append(type(self).__name__)
+                _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(kind, "__init__", init)
+        return built
+
     def test_named_variety_builds_only_the_names_it_uses(self, monkeypatch):
+        doc = _biquaternion_doc()
+        doc["varieties"] = {"left": "X(2;Delta1) x X(1;Δ3)", "right": "X(1;Δ2)"}
+        built = self._count_spec_builds(monkeypatch)
+        products = self._count_product_builds(monkeypatch)
+        inst = load_instance(doc)
+        assert built == [] and products == []
+        left = inst.varieties["left"]
+        assert built == ["Δ1", "Δ3"]
+        assert products == ["GSBFactor", "GSBFactor", "GSBProduct"]
+        assert inst.varieties["left"] is left
+        assert inst.product("left") is left
+        assert left.factors[0].algebra is inst.algebra("Δ1")
+        assert built == ["Δ1", "Δ3"]
+        assert products == ["GSBFactor", "GSBFactor", "GSBProduct"]
+
+    def test_membership_builds_nothing(self, monkeypatch):
         doc = _biquaternion_doc()
         doc["varieties"] = {"left": "X(2;Delta1) x X(1;Δ3)"}
         built = self._count_spec_builds(monkeypatch)
+        products = self._count_product_builds(monkeypatch)
         inst = load_instance(doc)
-        assert built == ["Δ1", "Δ3"]
-        assert inst.varieties["left"].factors[0].algebra is inst.algebra("Δ1")
-        assert built == ["Δ1", "Δ3"]
+        for name in [*doc["algebras"], *doc["aliases"]]:
+            assert name in inst.algebras
+        assert "left" in inst.varieties
+        for unknown in ("Δ9", "q1", "left", "", 7):
+            assert unknown not in inst.algebras
+        assert "Δ1" not in inst.varieties
+        assert built == [] and products == []
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_load_builds_no_algebra_factor_or_product(self, monkeypatch, seed):
+        rng = random.Random(f"work:{seed}")
+        doc, expected = _random_document(rng)
+        usable = [n for n, spec in expected.items() if spec.degree_exponent > 0]
+        if usable:
+            doc["varieties"] = {
+                f"v{i}": " x ".join(
+                    _valid_factor(rng, name, expected[name], doc["prime"])
+                    for name in rng.choices(usable, k=rng.randint(1, 4))
+                )
+                for i in range(rng.randint(1, 4))
+            }
+        built = self._count_spec_builds(monkeypatch)
+        products = self._count_product_builds(monkeypatch)
+        calls = self._count_index_calls(monkeypatch)
+        inst = load_instance(doc)
+        assert built == [] and products == []
+        assert len(calls) == len({spec.brauer_class for spec in expected.values()})
+        for vname, text in doc.get("varieties", {}).items():
+            looked_up = inst.varieties[vname]
+            assert looked_up == parse_variety_expression(text, inst)
+            assert looked_up is inst.varieties[vname]
+
+
+def _valid_factor(rng, name, spec, prime):
+    """A factor X(p^k;name) with a random valid k, spaced at random."""
+    m = prime ** rng.randrange(spec.degree_exponent)
+    pad = [rng.choice(("", " ", "\t")) for _ in range(6)]
+    return f"{pad[0]}X({pad[1]}{m}{pad[2]};{pad[3]}{name}{pad[4]}){pad[5]}"
 
 
 def _random_document(rng):
@@ -719,6 +795,81 @@ def test_loaded_specs_match_the_public_constructor(seed):
             assert twin == got
             assert twin.label == got.label
             assert repr(twin) == repr(got)
+
+
+def _variety_fault(rng, names, expected, prime):
+    """A variety expression whose one fault sits in a random factor, and the
+    message fragment that names the fault's kind."""
+    factors = [_valid_factor(rng, n, expected[n], prime) for n in names]
+    at = rng.randrange(len(factors))
+    name = names[at]
+    kind = rng.randrange(6)
+    if kind == 0:
+        choices = ["X(;{n})", "X({m})", "Y({m};{n})", "X({m},{n})", "X({m};{n}"]
+        bad = rng.choice(choices[:-1] if at < len(factors) - 1 else choices)
+        factors[at] = bad.format(m=prime, n=name)
+        if at and rng.random() < 0.5:  # junk between the separator and factor
+            factors[at] = "y " + _valid_factor(rng, name, expected[name], prime)
+        text = " x ".join(factors)
+        if at == len(factors) - 1 and rng.random() < 0.3:
+            text = " x ".join(factors[:-1] + [""])
+        return text, "expected"
+    if kind == 1:
+        factors[at] = f"X({'1' * 5000};{name})"
+        return " x ".join(factors), "bad integer|not a power"
+    if kind == 2:
+        factors[at] = rng.choice(("X(1;)", "X(1; \t)"))
+        return " x ".join(factors), "empty algebra name"
+    if kind == 3:
+        m = rng.choice((0, prime + 1, prime * (prime + 1)))
+        factors[at] = f"X({m};{name})"
+        return " x ".join(factors), "not a power of the prime"
+    if kind == 4:
+        factors[at] = f"X(1;{rng.choice(('Z9', 'g0', 'B99', 'a b'))})"
+        return " x ".join(factors), "unknown algebra"
+    s = expected[name].degree_exponent
+    factors[at] = f"X({prime ** (s + rng.randrange(2))};{name})"
+    return " x ".join(factors), "out of range"
+
+
+class TestVarietyFaults:
+    """A named variety's fault is the fault parse_variety_expression finds
+    in the same text, reported as a load error (exit 2)."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_load_message_is_the_parse_message(self, tmp_path, capsys, seed):
+        from gsbmaps.cli import main
+
+        rng = random.Random(f"variety-faults:{seed}")
+        doc, expected = _random_document(rng)
+        while not any(spec.degree_exponent for spec in expected.values()):
+            doc, expected = _random_document(rng)
+        usable = sorted(n for n, spec in expected.items() if spec.degree_exponent)
+        names = rng.choices(usable, k=rng.randint(1, 4))
+        text, kind = _variety_fault(rng, names, expected, doc["prime"])
+        inst = load_instance(doc)
+        with pytest.raises((InstanceFormatError, PreconditionError)) as parsed:
+            parse_variety_expression(text, inst)
+        assert re.search(kind, str(parsed.value))
+
+        doc["varieties"] = {"ok": f"X(1;{names[0]})", "v": text}
+        with pytest.raises(InstanceFormatError) as loaded:
+            load_instance(doc)
+        assert str(loaded.value) == f"<instance>: variety 'v': {parsed.value}"
+
+        # on the command line: exit 2 when the file loads, 2 or 3 by class
+        # when the same text is an argument
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        assert main(["-i", str(path), "index", "--algebra", usable[0]]) == 2
+        message = f"{path}: variety 'v': {parsed.value}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        del doc["varieties"]["v"]
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        argv = ["-i", str(path), "rational-map", "--source", text, "--target", "ok"]
+        code = main(argv)
+        assert code == (2 if type(parsed.value) is InstanceFormatError else 3)
+        assert capsys.readouterr().err == f"error: {parsed.value}\n"
 
 
 class TestParseInstanceFile:

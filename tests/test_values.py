@@ -213,7 +213,7 @@ LOADED_DOC = {
         "E1": {"class": {"q2": 3, "q1": -1}, "degree": 4},
     },
     "aliases": {"D2": "Δ2", "D1": "Δ1"},
-    "varieties": {"X": "X(2;D1)"},
+    "varieties": {"X": "X(2;D1)", "Y": "X(1;Δ2) x X(2;E1)"},
 }
 
 
@@ -223,7 +223,9 @@ def _loaded():
 
 def test_loaded_instance_is_a_value():
     a, b = _loaded(), _loaded()
-    b.algebra("D2")  # one instance partly looked up, the other not at all
+    # one instance partly looked up, the other not at all
+    b.algebra("D2")
+    b.varieties["Y"]
     assert a is not b
     assert repr(a) == repr(b)
     assert " at 0x" not in repr(a)
@@ -232,11 +234,18 @@ def test_loaded_instance_is_a_value():
     assert len(a.algebras) == 5
     assert "D1" in a.algebras and "q1" not in a.algebras
     assert a.algebras.get("q1") is None
+    assert list(a.varieties) == ["X", "Y"]
+    assert len(a.varieties) == 2
+    assert "Y" in a.varieties and "D1" not in a.varieties
     d1, d2 = _algebra("Δ1"), AlgebraSpec(_model().element((1, 0, 1)), "Δ2")
+    e1 = _algebra("E1")
     by_dict = Instance(
         _model(),
-        {"Δ1": d1, "Δ2": d2, "E1": _algebra("E1"), "D2": d2, "D1": d1},
-        {"X": GSBProduct((GSBFactor(d1, 1),))},
+        {"Δ1": d1, "Δ2": d2, "E1": e1, "D2": d2, "D1": d1},
+        {
+            "X": GSBProduct((GSBFactor(d1, 1),)),
+            "Y": GSBProduct((GSBFactor(d2, 0), GSBFactor(e1, 1))),
+        },
     )
     assert a == by_dict
     assert repr(a) == repr(by_dict)
@@ -244,23 +253,32 @@ def test_loaded_instance_is_a_value():
 
 
 def test_loaded_instance_pickles_and_copies():
-    inst = _loaded()
-    inst.algebra("E1")
-    for twin in (
-        pickle.loads(pickle.dumps(inst)),
-        copy.copy(inst),
-        copy.deepcopy(inst),
-    ):
-        assert twin == inst
-        assert repr(twin) == repr(inst)
-        assert list(twin.algebras) == list(inst.algebras)
-        for name in inst.algebras:
-            got, want = twin.algebra(name), inst.algebra(name)
-            assert got.brauer_class == want.brauer_class
-            assert got.label == want.label
-            assert got.degree_exponent == want.degree_exponent
-        assert twin.algebra("D1") is twin.algebra("Δ1")
-        assert twin.algebra("E1").brauer_class is twin.algebra("Δ1").brauer_class
+    # varieties looked up not at all, partly, and wholly
+    instances = [_loaded(), _loaded(), _loaded()]
+    instances[1].varieties["X"]
+    instances[2].varieties["Y"], instances[2].varieties["X"]
+    for inst in instances:
+        inst.algebra("E1")
+        # all three twins are made before any comparison looks a name up
+        twins = (
+            pickle.loads(pickle.dumps(inst)),
+            copy.copy(inst),
+            copy.deepcopy(inst),
+        )
+        for twin in twins:
+            assert twin == inst
+            assert repr(twin) == repr(inst)
+            assert list(twin.algebras) == list(inst.algebras)
+            assert list(twin.varieties) == ["X", "Y"]
+            assert twin.varieties["X"].factors[0].algebra is twin.algebra("D1")
+            assert twin.varieties["Y"].factors[1].algebra is twin.algebra("E1")
+            for name in inst.algebras:
+                got, want = twin.algebra(name), inst.algebra(name)
+                assert got.brauer_class == want.brauer_class
+                assert got.label == want.label
+                assert got.degree_exponent == want.degree_exponent
+            assert twin.algebra("D1") is twin.algebra("Δ1")
+            assert twin.algebra("E1").brauer_class is twin.algebra("Δ1").brauer_class
 
 
 def test_results_of_the_decisions_round_trip():
