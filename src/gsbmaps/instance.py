@@ -15,13 +15,13 @@ must match the model index of the class (division algebras only); violations
 are load-time errors naming the offending field.
 
 A load is one pass of checks that builds no algebra, factor or product.  It
-keeps each name's reduced exponent vector, each distinct class's model index
-(worked out once, for the first name with it), and each named variety's
-(name, k) pairs, scanned and range-checked against those indices.  An
-AlgebraSpec is built when a name is first looked up: names of one class share
-one BrauerClass, and an alias resolves to its target's object.  A named
-variety's GSBProduct is built when the variety is first looked up, from the
-specs of the names it uses.
+keeps one recipe per name and per named variety.  A name's recipe is the name,
+its reduced exponent vector and its class's model index (worked out once per
+distinct class); an alias keeps its target's recipe.  A variety's recipe is
+its (name, k) pairs, scanned and range-checked against those indices.  A
+value is built from its recipe on the first lookup of any key with that
+recipe: an AlgebraSpec (names of one class share one BrauerClass, and an
+alias gets its target's object) or a GSBProduct of the specs it names.
 
 Expression grammar::
 
@@ -33,10 +33,11 @@ where the integer is the reduced dimension p^k (not k itself).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
 
 from . import brauer
 from ._value import Record
@@ -62,92 +63,47 @@ def _check_name(name: object, what: str) -> str:
     return name
 
 
-class _Algebras(Mapping):
-    """The algebras of a loaded instance: every name, then every alias, in
-    document order, each resolving to the AlgebraSpec built on its first
-    lookup (see the module docstring)."""
+class _Lazy(Mapping):
+    """A read-only mapping of a loaded instance: each key has a hashable
+    recipe, in document order, and resolves to make(recipe), built on the
+    first lookup of any key with that recipe (see the module docstring)."""
 
-    __slots__ = ("_model", "_exponents", "_aliases", "_indices", "_classes", "_specs")
+    __slots__ = ("_recipes", "_make", "_made")
 
-    def __init__(
-        self,
-        model: BrauerGroupModel,
-        exponents: dict[str, tuple[int, ...]],
-        aliases: dict[str, str],
-        indices: dict[tuple[int, ...], int],
-    ):
-        self._model = model
-        self._exponents = exponents  # algebra name -> reduced exponent vector
-        self._aliases = aliases  # alias -> algebra name
-        self._indices = indices  # exponent vector -> model index
-        self._classes: dict[tuple[int, ...], BrauerClass] = {}
-        self._specs: dict[str, AlgebraSpec] = {}
+    def __init__(self, recipes: dict[str, Hashable], make: Callable):
+        self._recipes = recipes
+        self._make = make
+        self._made: dict = {}  # recipe -> the value built from it
 
-    def __getitem__(self, name: str) -> AlgebraSpec:
-        spec = self._specs.get(name)
-        if spec is None:
-            if name in self._aliases:
-                spec = self[self._aliases[name]]
-            else:
-                key = self._exponents[name]
-                cls = self._classes.get(key)
-                if cls is None:
-                    cls = self._classes[key] = BrauerClass._reduced(self._model, key)
-                spec = AlgebraSpec._trusted(cls, name, self.degree_exponent(name))
-            self._specs[name] = spec
-        return spec
+    def __getitem__(self, key: str) -> object:
+        recipe = self._recipes[key]
+        value = self._made.get(recipe)
+        if value is None:
+            value = self._made[recipe] = self._make(recipe)
+        return value
 
-    def degree_exponent(self, name: str) -> int:
-        """The degree exponent of a name or alias, without building its spec."""
-        key = self._exponents[self._aliases.get(name, name)]
-        return vp(self._indices[key], self._model.prime)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._exponents or name in self._aliases
+    def __contains__(self, key: object) -> bool:
+        return key in self._recipes
 
     def __iter__(self) -> Iterator[str]:
-        yield from self._exponents
-        yield from self._aliases
+        return iter(self._recipes)
 
     def __len__(self) -> int:
-        return len(self._exponents) + len(self._aliases)
+        return len(self._recipes)
 
     def __repr__(self) -> str:
         return repr(dict(self))
 
 
-class _Varieties(Mapping):
-    """The named varieties of a loaded instance, in document order, each
-    resolving to the GSBProduct built on its first lookup from the (name, k)
-    pairs the load checked."""
-
-    __slots__ = ("_algebras", "_factors", "_products")
-
-    def __init__(
-        self, algebras: _Algebras, factors: dict[str, list[tuple[str, int]]]
-    ):
-        self._algebras = algebras
-        self._factors = factors  # variety name -> (algebra name, k) pairs
-        self._products: dict[str, GSBProduct] = {}
-
-    def __getitem__(self, vname: str) -> GSBProduct:
-        product = self._products.get(vname)
-        if product is None:
-            factors = self._factors[vname]
-            product = self._products[vname] = _product(self._algebras, factors)
-        return product
-
-    def __contains__(self, vname: object) -> bool:
-        return vname in self._factors
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._factors)
-
-    def __len__(self) -> int:
-        return len(self._factors)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
+def _spec(model: BrauerGroupModel, classes: dict, recipe: tuple) -> AlgebraSpec:
+    """The AlgebraSpec of an algebra recipe (name, reduced exponent vector,
+    model index); names of one class share the BrauerClass that classes keeps
+    for their exponent vector."""
+    name, key, index = recipe
+    cls = classes.get(key)
+    if cls is None:
+        cls = classes[key] = BrauerClass._reduced(model, key)
+    return AlgebraSpec._trusted(cls, name, vp(index, model.prime))
 
 
 class Instance(Record):
@@ -155,7 +111,8 @@ class Instance(Record):
 
     algebras maps every algebra name and every alias to its AlgebraSpec, and
     varieties maps names to GSBProducts: dicts, or for a loaded instance
-    read-only mappings that build each value on its first lookup.
+    read-only mappings from each key to a recipe, whose value is built on
+    its first lookup.
     """
 
     __slots__ = ("model", "algebras", "varieties")
@@ -206,11 +163,16 @@ def _json_type(kind: type) -> str:
     return _JSON_TYPES.get(kind, kind.__name__)
 
 
+def _is_json(value: object, kind: type) -> bool:
+    """Whether a decoded value is of the JSON type kind: a bool is no integer."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _expect(doc: Mapping[str, object], key: str, kind: type, what: str) -> object:
     if key not in doc:
         raise InstanceFormatError(f"{what}: missing required key {key!r}")
     value = doc[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not _is_json(value, kind):
         raise InstanceFormatError(
             f"{what}: {key!r} must be {_json_type(kind)}, "
             f"got {_json_type(type(value))}"
@@ -236,7 +198,7 @@ def load_instance(doc: object, source: str = "<instance>") -> Instance:
         if name in positions:
             raise InstanceFormatError(f"{what}: duplicate generator name {name!r}")
         order = entry.get("order")
-        if not isinstance(order, int) or isinstance(order, bool):
+        if not _is_json(order, int):
             raise InstanceFormatError(f"{what} ({name!r}): 'order' must be an integer")
         positions[name] = pos
         orders.append(order)
@@ -246,7 +208,9 @@ def load_instance(doc: object, source: str = "<instance>") -> Instance:
         raise InstanceFormatError(f"{source}: {exc}") from exc
 
     algebras_doc = _expect(doc, "algebras", dict, source)
-    exponents_of: dict[str, tuple[int, ...]] = {}
+    # name -> (name, reduced exponent vector, model index); an alias gets
+    # its target's recipe, so it resolves to the target's spec
+    recipes: dict[str, tuple[str, tuple[int, ...], int]] = {}
     indices: dict[tuple[int, ...], int] = {}
     rank = len(orders)
     # A name or a value that passes a plain test below satisfies its rule:
@@ -268,7 +232,7 @@ def load_instance(doc: object, source: str = "<instance>") -> Instance:
                 raise InstanceFormatError(
                     f"{source}: algebra {name!r}: unknown generator {gen!r}"
                 )
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_json(value, int):
                 raise InstanceFormatError(
                     f"{source}: algebra {name!r}: exponent of {gen!r} must be an "
                     "integer"
@@ -291,9 +255,8 @@ def load_instance(doc: object, source: str = "<instance>") -> Instance:
                 f"{source}: algebra {name}: not a division algebra of the declared "
                 f"degree (model index {index}, declared degree {degree})"
             )
-        exponents_of[name] = key
+        recipes[name] = (name, key, index)
 
-    aliases: dict[str, str] = {}
     if "aliases" in doc:
         aliases_doc = _expect(doc, "aliases", dict, source)
         for alias, target in aliases_doc.items():
@@ -304,12 +267,12 @@ def load_instance(doc: object, source: str = "<instance>") -> Instance:
             # an alias names an algebra, never another alias
             if not isinstance(target, str) or target not in algebras_doc:
                 raise InstanceFormatError(f"{what}: unknown target algebra {target!r}")
-            aliases[alias] = target
+            recipes[alias] = recipes[target]
 
-    algebras = _Algebras(model, exponents_of, aliases, indices)
+    algebras = _Lazy(recipes, functools.partial(_spec, model, {}))
     # each named variety is scanned and its k checked now, so its faults are
-    # load errors; its product is built on first lookup
-    factors_of: dict[str, list[tuple[str, int]]] = {}
+    # load errors; its recipe is its (name, k) pairs
+    factors_of: dict[str, tuple[tuple[str, int], ...]] = {}
     if "varieties" in doc:
         varieties_doc = _expect(doc, "varieties", dict, source)
         for vname, text in varieties_doc.items():
@@ -318,13 +281,14 @@ def load_instance(doc: object, source: str = "<instance>") -> Instance:
             if not isinstance(text, str):
                 raise InstanceFormatError(f"{what}: expression must be a string")
             try:
-                factors_of[vname] = [
-                    (name, _factor_k(k, algebras.degree_exponent(name), model.prime))
-                    for name, k in _scan(text, model.prime, algebras)
-                ]
+                factors_of[vname] = tuple(
+                    (name, _factor_k(k, vp(recipes[name][2], prime), prime))
+                    for name, k in _scan(text, prime, recipes)
+                )
             except (InstanceFormatError, PreconditionError) as exc:
                 raise InstanceFormatError(f"{what}: {exc}") from exc
-    return Instance(model, algebras, _Varieties(algebras, factors_of))
+    varieties = _Lazy(factors_of, functools.partial(_product, algebras))
+    return Instance(model, algebras, varieties)
 
 
 def parse_instance(path: str | os.PathLike) -> Instance:

@@ -777,6 +777,8 @@ def test_loaded_specs_match_the_public_constructor(seed):
     doc, expected = _random_document(random.Random(seed))
     inst = load_instance(doc)
     assert inst.algebras.keys() == expected.keys()
+    # every name, then every alias, in document order
+    assert list(inst.algebras) == list(expected)
     orders = inst.model.generator_orders
     for name, want in expected.items():
         got = inst.algebra(name)
@@ -795,6 +797,23 @@ def test_loaded_specs_match_the_public_constructor(seed):
             assert twin == got
             assert twin.label == got.label
             assert repr(twin) == repr(got)
+    # whole instances, looked up wholly and not at all, keep their shared
+    # objects through a round trip; aliases are looked up before targets
+    fresh = load_instance(doc)
+    for twin in (
+        pickle.loads(pickle.dumps(inst)),
+        copy.deepcopy(inst),
+        pickle.loads(pickle.dumps(fresh)),
+        copy.deepcopy(fresh),
+    ):
+        for alias, target in doc["aliases"].items():
+            assert twin.algebra(alias) is twin.algebra(target)
+        by_class = {}
+        for name in doc["algebras"]:
+            cls = twin.algebra(name).brauer_class
+            assert by_class.setdefault(cls, cls) is cls
+        assert twin == inst
+        assert list(twin.algebras) == list(expected)
 
 
 def _variety_fault(rng, names, expected, prime):

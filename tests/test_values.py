@@ -237,6 +237,13 @@ def test_loaded_instance_is_a_value():
     assert list(a.varieties) == ["X", "Y"]
     assert len(a.varieties) == 2
     assert "Y" in a.varieties and "D1" not in a.varieties
+    # a loaded instance's mappings are read-only
+    for mapping, key in ((a.algebras, "D1"), (a.algebras, "F1"), (a.varieties, "X")):
+        before = dict(mapping)
+        with pytest.raises(TypeError):
+            mapping[key] = before[next(iter(before))]
+        assert dict(mapping) == before
+        assert list(mapping) == list(before)
     d1, d2 = _algebra("Δ1"), AlgebraSpec(_model().element((1, 0, 1)), "Δ2")
     e1 = _algebra("E1")
     by_dict = Instance(
