@@ -6,6 +6,12 @@ payload or the text that _text renders from it alone, so every fact in a text
 report is also in its JSON.
 verify-examples holds no claims of its own: it runs the "claims" of each
 bundled fixture through these same commands, and _run serves both it and main.
+Both read an argv with parse_args.  A plain argv (global options, the command
+name, then its flags; each option spelt in full and given once, each value
+not starting with "-") is read from _GLOBALS and _COMMANDS, the tables the
+argparse parser is built from, without building that parser; help,
+abbreviations, --flag=value and every usage error go to argparse, so their
+text and exit codes are its own.
 
 Exit codes: 0 on a successful computation (the boolean answer lives in the
 report, not the exit code), 2 on parse errors, 3 on precondition or
@@ -210,7 +216,7 @@ def _cmd_verify_examples(args: argparse.Namespace, inst: None) -> dict:
             for run in claim["runs"]:
                 argv = tuple(run["argv"])
                 if argv not in outcomes:
-                    outcomes[argv] = _run(build_parser().parse_args(argv), fixture)
+                    outcomes[argv] = _run(parse_args(argv), fixture)
                 code, result = outcomes[argv]
                 if code != EXIT_OK:
                     ok, text = False, f"{text} (error: {result})"
@@ -338,6 +344,15 @@ _COMMANDS = (
 )
 
 
+# The global options, which go before the command name: option strings,
+# metavar and help; an option with no metavar is a switch that takes no value.
+_GLOBALS = (
+    (("--instance", "-i"), "PATH",
+     "instance file (JSON); required by every command except verify-examples"),
+    (("--json",), None, "emit a stable machine-readable report"),
+)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every call.
@@ -353,15 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
             "instance describing a finite abelian p-group of Brauer classes."
         ),
     )
-    parser.add_argument(
-        "--instance",
-        "-i",
-        metavar="PATH",
-        help="instance file (JSON); required by every command except verify-examples",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit a stable machine-readable report"
-    )
+    for options, metavar, option_help in _GLOBALS:
+        if metavar:
+            parser.add_argument(*options, metavar=metavar, help=option_help)
+        else:
+            parser.add_argument(*options, action="store_true", help=option_help)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for name, summary, func, flags in _COMMANDS:
         p = sub.add_parser(name, help=summary)
@@ -371,6 +382,78 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.set_defaults(func=func)
     return parser
+
+
+def _dest(option: str) -> str:
+    """The attribute argparse stores an option under: "--foo-bar" -> "foo_bar"."""
+    return option.lstrip("-").replace("-", "_")
+
+
+# The plain command line, read from the same tables.  Each table maps an
+# option to (dest, takes a value): one for the global options, and one per
+# command for its flags, with the dests it requires and the attributes of a
+# call that gives no option.
+_PLAIN_GLOBALS = {
+    option: (_dest(options[0]), metavar is not None)
+    for options, metavar, _ in _GLOBALS
+    for option in options
+}
+_PLAIN_COMMANDS = {
+    name: (
+        {option: (_dest(option), True) for option, _, _ in flags},
+        [_dest(option) for option, _, flag_help in flags if flag_help is None],
+        {
+            **{dest: None if value else False for dest, value in _PLAIN_GLOBALS.values()},
+            "command": name,
+            **{_dest(option): None for option, _, _ in flags},
+            "func": func,
+        },
+    )
+    for name, _, func, flags in _COMMANDS
+}
+
+
+def _parse_plain(tokens: list[str]) -> argparse.Namespace | None:
+    """The Namespace of a plain argv, or None when argparse must read it.
+
+    Plain means: global options, the command name, then the command's flags,
+    each option spelt in full and given once, each value not starting with
+    "-", and every required flag present.  argparse reads such an argv the
+    same way; anything else (help, abbreviations, --flag=value, usage
+    errors) is left to it.
+    """
+    given: dict[str, object] = {}
+    options, command = _PLAIN_GLOBALS, None
+    pos, end = 0, len(tokens)
+    while pos < end:
+        token = tokens[pos]
+        if command is None and token in _PLAIN_COMMANDS:
+            command = _PLAIN_COMMANDS[token]
+            options = command[0]
+            pos += 1
+            continue
+        dest, takes_value = options.get(token, (None, False))
+        if dest is None or dest in given:
+            return None
+        if not takes_value:
+            given[dest] = True
+            pos += 1
+        elif pos + 1 < end and tokens[pos + 1][:1] != "-":
+            given[dest] = tokens[pos + 1]
+            pos += 2
+        else:
+            return None
+    if command is None or not all(dest in given for dest in command[1]):
+        return None
+    return argparse.Namespace(**{**command[2], **given})
+
+
+def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
+    """What build_parser() gives for argv (default sys.argv[1:]), built
+    without argparse when the argv is plain (see _parse_plain)."""
+    tokens = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_plain(tokens)
+    return build_parser().parse_args(tokens) if args is None else args
 
 
 def _run(args: argparse.Namespace, inst: Instance | None) -> tuple[int, object]:
@@ -395,7 +478,7 @@ def _run(args: argparse.Namespace, inst: Instance | None) -> tuple[int, object]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     code, result = _run(args, None)
     if code != EXIT_OK:
         label = "internal invariant failure" if code == EXIT_INVARIANT else "error"

@@ -128,8 +128,9 @@ class Instance(Record):
         self.varieties = {} if varieties is None else varieties
 
     def algebra(self, name: str) -> AlgebraSpec:
-        """Resolve an algebra by name or alias."""
-        return self.algebras[_known(self.algebras, name)]
+        """Resolve an algebra by name or alias; surrounding whitespace is
+        ignored, as no loaded name has any."""
+        return self.algebras[_known(self.algebras, name.strip())]
 
     def algebra_list(self, names: str) -> list[AlgebraSpec]:
         """Resolve a comma-separated list of algebra names."""
@@ -141,9 +142,11 @@ class Instance(Record):
         return [self.algebra(part) for part in parts]
 
     def product(self, text: str) -> GSBProduct:
-        """A named variety if the text matches one, else a parsed expression."""
-        if text in self.varieties:
-            return self.varieties[text]
+        """A named variety if the text, stripped, names one, else a parsed
+        expression."""
+        name = text.strip()
+        if name in self.varieties:
+            return self.varieties[name]
         return parse_variety_expression(text, self)
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gsbmaps
 import gsbmaps.cli as cli_mod
@@ -581,6 +585,37 @@ class TestSharedParser:
         assert "all claims hold" in forward[4][1]
         assert forward == backward
 
+    def test_no_state_carried_between_plain_and_fallback_calls(self, biq_path):
+        # plain argvs are parsed from the command table; the abbreviation,
+        # the --flag=value spelling and --help go to argparse
+        index = ["-i", biq_path, "--json", "index"]
+        calls = [
+            [*index, "--algebra", "Δ1"],
+            [*index, "--alg", "Δ1"],
+            ["-i", biq_path, "reduced-index", "--target", "Δ1"],  # usage error
+            [*index, "--algebra=Δ2"],
+            ["--help"],
+            ["-i", biq_path, "exponent", "--algebra", "Δ3"],
+            [*index, "--algebra", "Δ2"],
+            ["verify-examples"],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", SESSION_SCRIPT, json.dumps(calls)],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        forward, backward = json.loads(proc.stdout)
+        assert [code for code, _, _ in forward] == [0, 0, 2, 0, 0, 0, 0, 0]
+        assert forward[0] == forward[1]
+        assert "the following arguments are required: --base" in forward[2][2]
+        assert forward[3] == forward[6]
+        assert json.loads(forward[3][1])["algebra"] == "Δ2"
+        assert forward[4][1].startswith("usage: ") and forward[4][2] == ""
+        assert forward[5][1] == "exponent of Δ3: 2\n"
+        assert "all claims hold" in forward[7][1]
+        assert forward == backward
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
@@ -706,3 +741,127 @@ class TestUnencodableOutput:
             assert json.loads(proc.stdout)["left"] == "X(1;\ud800)"
         else:
             assert "X(1;\\ud800)" in proc.stdout
+
+
+def _vocabulary():
+    """Every option string of the parser and of its commands, and the command
+    names, read from the argparse parser itself."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = parser._actions + [a for p in sub.choices.values() for a in p._actions]
+    return sorted({o for a in actions for o in a.option_strings}), list(sub.choices)
+
+
+OPTIONS, COMMANDS = _vocabulary()
+VALUES = ["Δ1", "left", "X(2;Δ1) x X(2;Δ2)", "x.json"]
+# spellings argparse reads and the plain parse must leave to it, and values
+# that look like options, are empty, hold spaces or name a command
+TRAPS = ["--alg", "--inst", "--algebra=A", "-iPATH", "--", "-", "-1", "-x", "-h",
+         "--help", "", "a b", "-a b", "index"]
+TOKENS = OPTIONS + COMMANDS + VALUES + TRAPS
+
+
+@st.composite
+def near_plain_argvs(draw):
+    """A well-formed argv of a drawn command, then up to two tokens inserted
+    or removed."""
+    argv = []
+    for options, metavar, _ in draw(st.permutations(cli_mod._GLOBALS)):
+        if draw(st.booleans()):
+            argv.append(draw(st.sampled_from(options)))
+            if metavar:
+                argv.append(draw(st.sampled_from(VALUES + COMMANDS)))
+    name, _, _, flags = draw(st.sampled_from(cli_mod._COMMANDS))
+    argv.append(name)
+    for option, _, flag_help in draw(st.permutations(flags)):
+        if flag_help is None or draw(st.booleans()):
+            argv += [option, draw(st.sampled_from(VALUES + COMMANDS + ["", "a b"]))]
+    for _ in range(draw(st.integers(0, 2))):
+        pos = draw(st.integers(0, len(argv)))
+        if draw(st.booleans()):
+            argv.insert(pos, draw(st.sampled_from(TOKENS)))
+        elif pos < len(argv):
+            del argv[pos]
+    return argv
+
+
+ARGVS = st.one_of(
+    st.lists(st.sampled_from(TOKENS), max_size=8),
+    near_plain_argvs(),
+    near_plain_argvs().map(tuple),
+)
+
+
+def _outcome(parse, argv):
+    """(parse(argv), or ("exit", code) if it raised SystemExit; stdout; stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestPlainParse:
+    """parse_args reads a plain argv from the command table and hands every
+    other argv to argparse, with the same result either way."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(ARGVS)
+    def test_agrees_with_argparse(self, argv):
+        expected = _outcome(build_parser().parse_args, argv)
+        assert _outcome(cli_mod.parse_args, argv) == expected
+        if isinstance(expected[0], tuple):
+            # argparse refused the argv: main ends with its code and text
+            assert _outcome(main, argv) == expected
+
+    def test_argv_none_reads_sys_argv(self, monkeypatch):
+        for argv in (["-i", "x.json", "--json", "index", "--algebra", "Δ1"],
+                     ["index", "--alg", "Δ1"]):
+            expected = build_parser().parse_args(argv)
+            monkeypatch.setattr(sys, "argv", ["gsbmaps", *argv])
+            assert cli_mod.parse_args() == cli_mod.parse_args(tuple(argv)) == expected
+
+    def test_common_argvs_never_reach_argparse(self, monkeypatch, capsys):
+        from test_golden import CASES
+
+        claims = [run["argv"] for _, claim in _bundled_claims() for run in claim["runs"]]
+        argvs = [["-i", "x.json", *argv] for _, _, argv in CASES] + claims
+        expected = [build_parser().parse_args(argv) for argv in argvs]
+
+        def refuse():
+            raise AssertionError("a plain argv reached argparse")
+
+        monkeypatch.setattr(cli_mod, "build_parser", refuse)
+        assert [cli_mod.parse_args(argv) for argv in argvs] == expected
+        assert main(["verify-examples"]) == 0
+        assert "all claims hold" in capsys.readouterr().out
+        monkeypatch.undo()
+        for argv, code in ((["index"], 2), (["--help"], 0)):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+
+
+class TestPaddedNames:
+    """A single name on the command line may carry surrounding whitespace, as
+    an entry of a comma list or a name in an expression already may."""
+
+    def test_padded_algebra_name(self, capsys, biq_path):
+        for command in ("index", "exponent"):
+            bare = run_cli(capsys, "-i", biq_path, "--json", command, "--algebra", "Δ1")
+            padded = run_cli(capsys, "-i", biq_path, "--json", command, "--algebra", " Δ1\t")
+            assert padded[0] == 0 and padded[2] == ""
+            assert {**json.loads(padded[1]), "algebra": "Δ1"} == json.loads(bare[1])
+
+    def test_padded_target_and_base(self, capsys, mixed_path):
+        argv = ["-i", mixed_path, "--json", "reduced-index", "--target"]
+        bare = run_cli(capsys, *argv, "D3", "--base", "left")
+        padded = run_cli(capsys, *argv, " D3 ", "--base", " left ")
+        assert padded[0] == 0 and padded[2] == ""
+        assert {**json.loads(padded[1]), "target": "D3"} == json.loads(bare[1])
+
+    def test_padded_unknown_name_is_named_bare(self, capsys, biq_path):
+        code, out, err = run_cli(capsys, "-i", biq_path, "index", "--algebra", " Δ9 ")
+        assert (code, out, err) == (2, "", "error: unknown algebra 'Δ9'\n")

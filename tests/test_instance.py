@@ -916,6 +916,30 @@ class TestParseInstanceFile:
         assert mixed.algebra("D1").exponent == 4
 
 
+class TestPaddedNames:
+    """A single name given with surrounding whitespace resolves as the bare
+    name, as an entry of a comma list or a name in an expression already
+    does; the loader refuses padded names, so stripping is unambiguous."""
+
+    @pytest.fixture()
+    def inst(self):
+        doc = _biquaternion_doc()
+        doc["varieties"] = {"left": "X(2;Δ1) x X(2;Δ2)", "two words": "X(1;Δ3)"}
+        return load_instance(doc)
+
+    @pytest.mark.parametrize("name", [" Δ1", "Δ1 ", "\tΔ1\n", "\u3000Δ1", " Delta1 "])
+    def test_padded_algebra_name(self, inst, name):
+        assert inst.algebra(name) is inst.algebra("Δ1")
+
+    @pytest.mark.parametrize("name", [" left", "left ", "\tleft\n", " two words "])
+    def test_padded_variety_name(self, inst, name):
+        assert inst.product(name) is inst.product(name.strip())
+
+    def test_unknown_padded_name_is_named_bare(self, inst):
+        with pytest.raises(InstanceFormatError, match="^unknown algebra 'Δ9'$"):
+            inst.algebra(" Δ9 ")
+
+
 class TestVarietyGrammar:
     @pytest.fixture()
     def inst(self):
