@@ -6,12 +6,12 @@ payload or the text that _text renders from it alone, so every fact in a text
 report is also in its JSON.
 verify-examples holds no claims of its own: it runs the "claims" of each
 bundled fixture through these same commands, and _run serves both it and main.
-Both read an argv with parse_args.  A plain argv (global options, the command
+Both read an argv with parse_args from _GLOBALS and _COMMANDS, the only
+tables of options and commands: a plain argv (global options, the command
 name, then its flags; each option spelt in full and given once, each value
-not starting with "-") is read from _GLOBALS and _COMMANDS, the tables the
-argparse parser is built from, without building that parser; help,
-abbreviations, --flag=value and every usage error go to argparse, so their
-text and exit codes are its own.
+not starting with "-") is read from them without importing argparse.  Help,
+abbreviations, --flag=value and every usage error go to the argparse parser
+built from the same tables, so their text and exit codes are its own.
 
 Exit codes: 0 on a successful computation (the boolean answer lives in the
 report, not the exit code), 2 on parse errors, 3 on precondition or
@@ -21,12 +21,12 @@ mismatch found by verify-examples.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from .brauer import Subgroup, subgroup_generated, subgroups_equal
 from .errors import (
@@ -52,11 +52,13 @@ EXIT_INVARIANT = 4
 
 
 def _bundled_docs() -> dict[str, dict]:
-    """The decoded *.json fixtures shipped inside the package, by file name."""
-    from importlib import resources  # only verify-examples pays for it
-    paths = resources.files("gsbmaps").joinpath("fixtures").iterdir()
-    fixtures = [path for path in paths if path.name.endswith(".json")]
-    return {p.name: json.loads(p.read_text(encoding="utf-8")) for p in fixtures}
+    """The decoded *.json fixtures in the folder next to this module, by name."""
+    folder, docs = os.path.join(os.path.dirname(__file__), "fixtures"), {}
+    for name in os.listdir(folder):
+        if name.endswith(".json"):
+            with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                docs[name] = json.load(fh)
+    return docs
 
 
 def _direction_payload(rep: DirectionReport, source: str, target: str) -> dict:
@@ -76,7 +78,7 @@ def _direction_payload(rep: DirectionReport, source: str, target: str) -> dict:
     }
 
 
-def _cmd_index(args: argparse.Namespace, inst: Instance) -> dict:
+def _cmd_index(args: SimpleNamespace, inst: Instance) -> dict:
     alg = inst.algebra(args.algebra)
     return {
         "algebra": args.algebra,
@@ -86,7 +88,7 @@ def _cmd_index(args: argparse.Namespace, inst: Instance) -> dict:
     }
 
 
-def _cmd_exponent(args: argparse.Namespace, inst: Instance) -> dict:
+def _cmd_exponent(args: SimpleNamespace, inst: Instance) -> dict:
     alg = inst.algebra(args.algebra)
     return {
         "algebra": args.algebra,
@@ -102,7 +104,7 @@ def _subgroup(inst: Instance, names: str) -> tuple[Subgroup, dict[str, object]]:
     return sub, {"generators": names, "order": len(sub), "elements": elements}
 
 
-def _cmd_subgroup(args: argparse.Namespace, inst: Instance) -> dict:
+def _cmd_subgroup(args: SimpleNamespace, inst: Instance) -> dict:
     sub, payload = _subgroup(inst, args.generators)
     if args.equals is not None:
         other, payload["equals"] = _subgroup(inst, args.equals)
@@ -110,7 +112,7 @@ def _cmd_subgroup(args: argparse.Namespace, inst: Instance) -> dict:
     return payload
 
 
-def _cmd_reduced_index(args: argparse.Namespace, inst: Instance) -> dict:
+def _cmd_reduced_index(args: SimpleNamespace, inst: Instance) -> dict:
     target = inst.algebra(args.target)
     base = inst.product(args.base)
     result = reduced_index(target, base)
@@ -122,7 +124,7 @@ def _cmd_reduced_index(args: argparse.Namespace, inst: Instance) -> dict:
     }
 
 
-def _cmd_rational_map(args: argparse.Namespace, inst: Instance) -> dict:
+def _cmd_rational_map(args: SimpleNamespace, inst: Instance) -> dict:
     source = inst.product(args.source)
     target = inst.product(args.target)
     rep = exists_rational_map(source, target)
@@ -134,7 +136,7 @@ def _cmd_rational_map(args: argparse.Namespace, inst: Instance) -> dict:
     }
 
 
-def _cmd_equivalent(args: argparse.Namespace, inst: Instance) -> dict:
+def _cmd_equivalent(args: SimpleNamespace, inst: Instance) -> dict:
     left = inst.product(args.left)
     right = inst.product(args.right)
     rep = equivalent(left, right)
@@ -166,7 +168,7 @@ def _cmd_equivalent(args: argparse.Namespace, inst: Instance) -> dict:
     return payload
 
 
-def _cmd_motive_iso(args: argparse.Namespace, inst: Instance) -> dict:
+def _cmd_motive_iso(args: SimpleNamespace, inst: Instance) -> dict:
     left = upper_motive(inst.product(args.left))
     right = upper_motive(inst.product(args.right))
     return {
@@ -176,7 +178,7 @@ def _cmd_motive_iso(args: argparse.Namespace, inst: Instance) -> dict:
     }
 
 
-def _cmd_compare_families(args: argparse.Namespace, inst: Instance) -> dict:
+def _cmd_compare_families(args: SimpleNamespace, inst: Instance) -> dict:
     comp = compare_families(inst.algebra_list(args.left), inst.algebra_list(args.right))
     return {
         "left": args.left,
@@ -200,7 +202,7 @@ def _field(payload: dict, path: str) -> object:
         return _ABSENT
 
 
-def _cmd_verify_examples(args: argparse.Namespace, inst: None) -> dict:
+def _cmd_verify_examples(args: SimpleNamespace, inst: None) -> dict:
     """Run each bundled fixture's claims through the commands on that fixture.
 
     A claim holds when each of its runs, a command's argv run once per
@@ -353,13 +355,18 @@ _GLOBALS = (
 )
 
 
+# The commands by name, for the plain parse and for _run.
+_BY_NAME = {row[0]: row for row in _COMMANDS}
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by every call.
+def build_parser():
+    """The argparse parser, built on first use and shared by every call.
 
     parse_args leaves the parser unchanged, so one instance serves repeated
     main() calls in a process; callers must not modify it.
     """
+    import argparse  # only help, unusual spellings and usage errors need it
     parser = argparse.ArgumentParser(
         prog="gsbmaps",
         description=(
@@ -374,13 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             parser.add_argument(*options, action="store_true", help=option_help)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, summary, func, flags in _COMMANDS:
+    for name, summary, _, flags in _COMMANDS:
         p = sub.add_parser(name, help=summary)
         for option, metavar, flag_help in flags:
             p.add_argument(
                 option, required=flag_help is None, metavar=metavar, help=flag_help
             )
-        p.set_defaults(func=func)
     return parser
 
 
@@ -389,32 +395,8 @@ def _dest(option: str) -> str:
     return option.lstrip("-").replace("-", "_")
 
 
-# The plain command line, read from the same tables.  Each table maps an
-# option to (dest, takes a value): one for the global options, and one per
-# command for its flags, with the dests it requires and the attributes of a
-# call that gives no option.
-_PLAIN_GLOBALS = {
-    option: (_dest(options[0]), metavar is not None)
-    for options, metavar, _ in _GLOBALS
-    for option in options
-}
-_PLAIN_COMMANDS = {
-    name: (
-        {option: (_dest(option), True) for option, _, _ in flags},
-        [_dest(option) for option, _, flag_help in flags if flag_help is None],
-        {
-            **{dest: None if value else False for dest, value in _PLAIN_GLOBALS.values()},
-            "command": name,
-            **{_dest(option): None for option, _, _ in flags},
-            "func": func,
-        },
-    )
-    for name, _, func, flags in _COMMANDS
-}
-
-
-def _parse_plain(tokens: list[str]) -> argparse.Namespace | None:
-    """The Namespace of a plain argv, or None when argparse must read it.
+def _parse_plain(tokens: list[str]) -> SimpleNamespace | None:
+    """The parsed argv if it is plain, or None when argparse must read it.
 
     Plain means: global options, the command name, then the command's flags,
     each option spelt in full and given once, each value not starting with
@@ -423,40 +405,51 @@ def _parse_plain(tokens: list[str]) -> argparse.Namespace | None:
     errors) is left to it.
     """
     given: dict[str, object] = {}
-    options, command = _PLAIN_GLOBALS, None
-    pos, end = 0, len(tokens)
+    row, pos, end = None, 0, len(tokens)
     while pos < end:
         token = tokens[pos]
-        if command is None and token in _PLAIN_COMMANDS:
-            command = _PLAIN_COMMANDS[token]
-            options = command[0]
-            pos += 1
+        if row is None and token in _BY_NAME:
+            row, pos = _BY_NAME[token], pos + 1
             continue
-        dest, takes_value = options.get(token, (None, False))
+        dest = takes_value = None
+        if row is None:  # a global option; one with no metavar is a switch
+            for names, metavar, _ in _GLOBALS:
+                if token in names:
+                    dest, takes_value = _dest(names[0]), metavar is not None
+        else:  # one of the command's flags, each of which takes a value
+            for option, _, _ in row[3]:
+                if option == token:
+                    dest, takes_value = _dest(option), True
         if dest is None or dest in given:
             return None
-        if not takes_value:
-            given[dest] = True
-            pos += 1
-        elif pos + 1 < end and tokens[pos + 1][:1] != "-":
-            given[dest] = tokens[pos + 1]
-            pos += 2
-        else:
+        if takes_value and (pos + 1 == end or tokens[pos + 1][:1] == "-"):
             return None
-    if command is None or not all(dest in given for dest in command[1]):
+        given[dest] = tokens[pos + 1] if takes_value else True
+        pos += 2 if takes_value else 1
+    if row is None:
         return None
-    return argparse.Namespace(**{**command[2], **given})
+    args: dict[str, object] = {"command": row[0]}
+    for names, metavar, _ in _GLOBALS:
+        args[_dest(names[0])] = None if metavar else False
+    for option, _, flag_help in row[3]:
+        dest = _dest(option)
+        if flag_help is None and dest not in given:
+            return None
+        args[dest] = None
+    args.update(given)
+    return SimpleNamespace(**args)
 
 
-def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
-    """What build_parser() gives for argv (default sys.argv[1:]), built
-    without argparse when the argv is plain (see _parse_plain)."""
+def parse_args(argv: Sequence[str] | None = None) -> SimpleNamespace:
+    """The parsed argv (default sys.argv[1:]): read from the command table
+    when it is plain (see _parse_plain), else by argparse, which prints help
+    and usage errors and exits."""
     tokens = sys.argv[1:] if argv is None else list(argv)
     args = _parse_plain(tokens)
-    return build_parser().parse_args(tokens) if args is None else args
+    return args or SimpleNamespace(**vars(build_parser().parse_args(tokens)))
 
 
-def _run(args: argparse.Namespace, inst: Instance | None) -> tuple[int, object]:
+def _run(args: SimpleNamespace, inst: Instance | None) -> tuple[int, object]:
     """Run a parsed command: (0, its payload), or (exit code, error message)."""
     try:
         if inst is None and args.command != "verify-examples":
@@ -465,7 +458,7 @@ def _run(args: argparse.Namespace, inst: Instance | None) -> tuple[int, object]:
                     "this command needs an instance file (pass --instance PATH)"
                 )
             inst = parse_instance(args.instance)
-        payload = args.func(args, inst)
+        payload = _BY_NAME[args.command][2](args, inst)
         payload["command"] = args.command
         return EXIT_OK, payload
     except InstanceFormatError as exc:

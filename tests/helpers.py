@@ -116,6 +116,31 @@ def oracle_reduced_index(p, s, orders, target_vec, base):
     return best, best_tup
 
 
+def oracle_level_reduced_index(target, product):
+    """reduced_index(target, product).value by valuation levels, with no
+    tuple walk; only the prime, the generator orders, the exponent vectors
+    and the k of each factor are read from the objects.
+
+    Every vector has exponent dividing the common degree p^s, so the entries
+    i_j in [1, p^s] with p^{v_j} | i_j give twisted classes filling the coset
+    target + <p^{v_j} D_j> and deficiency at most p^{sum_j (k_j - v_j)}, with
+    equality at each tuple's own level v_j = min(v_p(i_j), k_j); so the value
+    is the least, over the levels v in prod_j [0, k_j], of that bound times
+    the coset's least index.
+    """
+    p, orders = target.model.prime, target.model.generator_orders
+    base = [(f.algebra.brauer_class.exponents, f.k) for f in product.factors]
+    return min(
+        p ** sum(k - v for (_, k), v in zip(base, levels))
+        * oracle_coset_floor(
+            orders,
+            target.brauer_class.exponents,
+            [scalar_multiple(orders, vec, p**v) for (vec, _), v in zip(base, levels)],
+        )
+        for levels in itertools.product(*(range(k + 1) for _, k in base))
+    )
+
+
 def oracle_valuation(n, p):
     """Largest e with p^e | n, for a positive n, by repeated division."""
     e = 0

@@ -793,11 +793,13 @@ ARGVS = st.one_of(
 
 
 def _outcome(parse, argv):
-    """(parse(argv), or ("exit", code) if it raised SystemExit; stdout; stderr)."""
+    """(vars(parse(argv)), or ("exit", code) if it raised SystemExit; stdout;
+    stderr).  The attributes are compared, not the namespace types: argparse
+    gives an argparse.Namespace, cli.parse_args a types.SimpleNamespace."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = parse(argv)
+            result = vars(parse(argv))
         except SystemExit as exc:
             result = ("exit", exc.code)
     return result, out.getvalue(), err.getvalue()
@@ -819,22 +821,23 @@ class TestPlainParse:
     def test_argv_none_reads_sys_argv(self, monkeypatch):
         for argv in (["-i", "x.json", "--json", "index", "--algebra", "Δ1"],
                      ["index", "--alg", "Δ1"]):
-            expected = build_parser().parse_args(argv)
+            expected = vars(build_parser().parse_args(argv))
             monkeypatch.setattr(sys, "argv", ["gsbmaps", *argv])
-            assert cli_mod.parse_args() == cli_mod.parse_args(tuple(argv)) == expected
+            assert vars(cli_mod.parse_args()) == expected
+            assert vars(cli_mod.parse_args(tuple(argv))) == expected
 
     def test_common_argvs_never_reach_argparse(self, monkeypatch, capsys):
         from test_golden import CASES
 
         claims = [run["argv"] for _, claim in _bundled_claims() for run in claim["runs"]]
         argvs = [["-i", "x.json", *argv] for _, _, argv in CASES] + claims
-        expected = [build_parser().parse_args(argv) for argv in argvs]
+        expected = [vars(build_parser().parse_args(argv)) for argv in argvs]
 
         def refuse():
             raise AssertionError("a plain argv reached argparse")
 
         monkeypatch.setattr(cli_mod, "build_parser", refuse)
-        assert [cli_mod.parse_args(argv) for argv in argvs] == expected
+        assert [vars(cli_mod.parse_args(argv)) for argv in argvs] == expected
         assert main(["verify-examples"]) == 0
         assert "all claims hold" in capsys.readouterr().out
         monkeypatch.undo()

@@ -908,6 +908,20 @@ class TestParseInstanceFile:
         with pytest.raises(InstanceFormatError, match="malformed JSON"):
             parse_instance(path)
 
+    # past the default recursion limit and the default int digit limit of 4300;
+    # neither limit is raised here
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 200_000 + "]" * 200_000, '{"prime": 1' + "0" * 4999 + "}"],
+        ids=["200000-deep-array", "5000-digit-prime"],
+    )
+    def test_decoder_limits_are_format_errors(self, tmp_path, text):
+        path = tmp_path / "limits.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(path)
+        assert str(exc.value).startswith(f"{path}: cannot decode JSON")
+
     def test_bundled_fixtures_load(self):
         bi = parse_instance(FIXTURES / "biquaternion.json")
         assert bi.model.generator_orders == (2, 2, 2)

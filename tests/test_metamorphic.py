@@ -28,7 +28,7 @@ from gsbmaps import (
     reduced_index,
 )
 from gsbmaps.reduction import reuses_reduced_index
-from helpers import by_degree
+from helpers import by_degree, oracle_level_reduced_index
 
 MODELS = (
     BrauerGroupModel(2, (4, 2)),
@@ -154,6 +154,8 @@ def test_index_profile_decides_equivalent(products):
         algebras = dict.fromkeys((*x.algebras(), *y.algebras()))
         profiles = [tuple(reduced_index(e, w).value for e in algebras) for w in (x, y)]
         assert (profiles[0] == profiles[1]) == equivalent(x, y).holds
+        for w, profile in zip((x, y), profiles):
+            assert list(profile) == [oracle_level_reduced_index(e, w) for e in algebras]
     x, y, z = products
     if equivalent(x, y).holds and equivalent(y, z).holds:
         assert equivalent(x, z).holds

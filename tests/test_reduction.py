@@ -36,6 +36,7 @@ from helpers import (
     by_degree,
     mixed_exponent_model,
     oracle_coset_floor,
+    oracle_level_reduced_index,
     oracle_reduced_index,
     product_of,
     uniform_product,
@@ -320,7 +321,8 @@ def _oracle_scan(target, base):
 
 def _check_against_oracle(target, factors):
     # factors: (algebra, k) pairs; the witness must also re-verify through
-    # reduction_term, and the scan must stop where the oracles predict.
+    # reduction_term, the scan must stop where the oracles predict, and the
+    # value must equal the valuation-level oracle, which walks no tuples.
     # Returns where the scan reached the coset floor.
     base = GSBProduct(tuple(GSBFactor(a, k) for a, k in factors))
     with pytest.MonkeyPatch.context() as mp:
@@ -328,6 +330,7 @@ def _check_against_oracle(target, factors):
         got = reduced_index(target, base)
     want, scanned, reached = _oracle_scan(target, base)
     assert (got.value, got.witness) == want
+    assert got.value == oracle_level_reduced_index(target, base)
     assert len(combines) == scanned
     assert reduction_term(target, base, got.witness) == got.value
     return reached

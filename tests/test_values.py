@@ -305,30 +305,44 @@ def test_results_of_the_decisions_round_trip():
         assert copy.deepcopy(result) == result
 
 
-# Imports the CLI in an interpreter without site packages, lists the heavy
-# modules it loaded, then runs verify-examples.
+# Imports the CLI in an interpreter without site packages and lists the heavy
+# modules it loaded; runs a plain index call and verify-examples, and lists
+# the modules of the fallback parse and of a package-resource reader they
+# loaded; then asks for --help, which goes to argparse.
 IMPORT_PROBE = textwrap.dedent(
     """
     import sys
     sys.path.insert(0, sys.argv[1])
     import gsbmaps.cli
-    heavy = ["dataclasses", "inspect", "importlib.resources", "typing", "pathlib"]
+    heavy = ["dataclasses", "inspect", "importlib.resources", "typing", "pathlib",
+             "argparse"]
     loaded = [name for name in heavy if name in sys.modules]
     import contextlib, io, json
     with contextlib.redirect_stdout(io.StringIO()):
-        code = gsbmaps.cli.main(["verify-examples"])
-    print(json.dumps([loaded, code]))
+        codes = [gsbmaps.cli.main(["-i", sys.argv[2], "index", "--algebra", "Δ1"]),
+                 gsbmaps.cli.main(["verify-examples"])]
+        after = [name for name in ("argparse", "importlib.resources")
+                 if name in sys.modules]
+        try:
+            help_code = gsbmaps.cli.main(["--help"])
+        except SystemExit as exc:
+            help_code = ["exit", exc.code]
+    print(json.dumps([loaded, codes, after, help_code, "argparse" in sys.modules]))
     """
 )
 
 
 def test_cli_import_loads_no_heavy_modules():
+    fixture = SRC / "gsbmaps" / "fixtures" / "biquaternion.json"
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", IMPORT_PROBE, str(SRC)],
+        [sys.executable, "-S", "-c", IMPORT_PROBE, str(SRC), str(fixture)],
         capture_output=True,
         text=True,
         check=True,
     )
-    loaded, code = json.loads(proc.stdout)
+    loaded, codes, after, help_code, argparse_loaded = json.loads(proc.stdout)
     assert loaded == []
-    assert code == 0
+    assert codes == [0, 0]
+    assert after == []
+    assert help_code == ["exit", 0]
+    assert argparse_loaded
