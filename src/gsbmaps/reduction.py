@@ -12,10 +12,13 @@ smallest minimizer returned as a witness.  The inputs are validated once per
 call.  One walk, _twists, yields every tuple with its deficiency and twisted
 class.  Each twisted class is the previous one plus one step: raising i_r by
 one wraps every later entry from p^s back to 1, and p^s*[D_j] = 0 (the
-exponent of D_j divides its index p^s), so the class moves by
--([D_r] + ... + [D_n]).  A tuple thus costs one combine call, of two terms
-except at a carry, and one deficiency lookup per factor; the model index is
-computed only when the deficiency alone is below the best value so far.
+exponent of D_j divides its index p^s), so the class moves by the step
+class -([D_r] + ... + [D_n]).  The n step classes are summed once per call
+from the raw exponent vectors, with no combine call, so a tuple costs one
+combine call of two terms, the class and its step, and one deficiency lookup
+per factor; the model index is computed only when the deficiency alone is
+below the best value so far.  A deficiency table depends only on p^k, so a
+call builds one for each distinct k of the base.
 
 The balanced relations of maps share that walk.  A row i in [1, p^s]^m with
 sum_j vp(gcd(i_j, p^k)) = k(m-1) and [D] = sum_j i_j [D_j] is exactly a
@@ -33,7 +36,8 @@ reaches it; that tuple is still the first minimizer.
 A decision that asks the same question many times runs inside
 reuses_reduced_index: within that one call, reduced_index answers a repeated
 (target, base factors) question from the first answer.  Nothing is kept once
-the outermost such call returns.
+the outermost such call returns.  A bare reduced_index call opens no scope:
+it enumerates and keeps nothing.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from contextvars import ContextVar
 from ._value import Value
 from .brauer import (
     AlgebraSpec,
+    BrauerClass,
     BrauerGroupModel,
     _index,
     _integer,
@@ -204,7 +209,6 @@ def reuses_reduced_index(fn: Callable) -> Callable:
     return scoped
 
 
-@reuses_reduced_index
 def reduced_index(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
     """Index of target over the function field of base.
 
@@ -212,10 +216,12 @@ def reduced_index(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
     minimum ranges over all tuples in [1, p^s]^n; the witness is the
     lexicographically smallest minimizer, so results are deterministic.
     A question already answered in the same reuses_reduced_index call is not
-    enumerated again; a bare call keeps nothing, and a call that raised
-    leaves nothing behind.
+    enumerated again; a bare call opens no scope and keeps nothing, and a
+    call that raised leaves nothing behind.
     """
     memo = _MEMO.get()
+    if memo is None:
+        return _enumerate(target, base)
     key = (target, base.factors)
     result = memo.get(key)
     if result is None:
@@ -226,25 +232,37 @@ def reduced_index(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
 def _twists(target: AlgebraSpec, base: GSBProduct, s: int) -> Iterator[tuple]:
     """Every twist of target over base in lex order, as (tuple, deficiency,
     twisted class); the caller has checked the model and the degree p^s."""
-    q = base.prime**s
-    n = len(base.factors)
-    # deficiencies[j][i] = p^{k_j}/gcd(i, p^{k_j}) for the entries i in [1, q];
-    # index 0 is never read
-    deficiencies = [
-        [pk // math.gcd(i, pk) for i in range(q + 1)]
-        for pk in (base.prime**f.k for f in base.factors)
-    ]
-    # A tuple whose entry r is not 1 and whose later entries are all 1 follows
-    # the one before it by raising entry r and wrapping the later entries from
-    # q back to 1; q*[D_j] = 0, so the class moves by the terms tails[r]
-    # (module docstring).  The first tuple is the same step at r = 0.
-    tails = [[(a.brauer_class, -1) for a in base.algebras()[r:]] for r in range(n)]
+    group = target.brauer_class.group
+    p, orders = group.prime, group.generator_orders
+    q = p**s
+    # deficiencies[j][i] = p^{k_j}/gcd(i, p^{k_j}) for the entries i in [1, q],
+    # one table for each distinct k (index 0 is never read).  A tuple whose
+    # entry r is not 1 and whose later entries are all 1 follows the one
+    # before it by raising entry r and wrapping the later entries from q back
+    # to 1; q*[D_j] = 0, so the class moves by the step class
+    # steps[r] = -([D_r] + ... + [D_n]) (module docstring), summed from the
+    # back over the raw exponent vectors.  The first tuple is the same step at
+    # r = 0.
+    tables, deficiencies, steps = {}, [], []
+    step = (0,) * len(orders)
+    for f in reversed(base.factors):
+        table = tables.get(f.k)
+        if table is None:
+            pk = p**f.k
+            table = tables[f.k] = [pk // math.gcd(i, pk) for i in range(q + 1)]
+        deficiencies.append(table)
+        exps = f.algebra.brauer_class.exponents
+        step = tuple([(a - e) % o for a, e, o in zip(step, exps, orders)])
+        steps.append(BrauerClass._reduced(group, step))
+    deficiencies.reverse()
+    steps.reverse()
+    n = len(steps)
     cls = target.brauer_class
     for tup in itertools.product(range(1, q + 1), repeat=n):
         r = n - 1
         while r and tup[r] == 1:
             r -= 1
-        cls = combine([(cls, 1), *tails[r]])
+        cls = combine([(cls, 1), (steps[r], 1)])
         deficiency = 1
         for table, ij in zip(deficiencies, tup):
             deficiency *= table[ij]
@@ -253,21 +271,22 @@ def _twists(target: AlgebraSpec, base: GSBProduct, s: int) -> Iterator[tuple]:
 
 def _enumerate(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
     same_model([target.model, base.model], "target and base")
-    s = common_degree([target, *base.algebras()], "index reduction")
+    algebras = base.algebras()
+    s = common_degree([target, *algebras], "index reduction")
     # The coset floor (module docstring): the least index on [target] + H,
     # H spanned by the [D_j].  No tuple scores below it, so the scan stops
     # at the first tuple that reaches it.
-    orders = base.model.generator_orders
+    orders = target.brauer_class.group.generator_orders
     exps = target.brauer_class.exponents
     floor = min(
         _index([a + b for a, b in zip(exps, h)], orders)
-        for h in _span([a.brauer_class.exponents for a in base.algebras()], orders)
+        for h in _span([a.brauer_class.exponents for a in algebras], orders)
     )
     best, best_tuple = math.inf, ()
     for tup, deficiency, cls in _twists(target, base, s):
         # the index is at least 1, so only a deficiency below best can win
         if deficiency < best:
-            value = deficiency * generic_index(cls)
+            value = deficiency * _index(cls.exponents, orders)
             if value < best:
                 best, best_tuple = value, tup
                 if best == floor:

@@ -271,9 +271,24 @@ class TestNonIntegerInputs:
     # these were truncated by int() or accepted, and surfaced deep inside
     # the code if at all; each is refused where it enters, naming the value
     def test_combine_coefficient(self):
-        c = BrauerGroupModel(2, (2,)).element((1,))
+        c = BrauerGroupModel(2, (4,)).element((1,))
+
+        class Int(int):
+            pass
+
+        class Index:
+            def __index__(self):
+                return 3
+
+        # an exact int skips the conversion; anything else int-like takes it
+        assert combine([(c, True)]) == combine([(c, 1)]) == c
+        assert combine([(c, Int(3))]) == combine([(c, Index())]) == combine([(c, 3)])
         with pytest.raises(PreconditionError, match="1.5"):
             combine([(c, 1.5)])
+        # the model is checked before the coefficient
+        other = BrauerGroupModel(3, (3,)).element((1,))
+        with pytest.raises(ModelMismatchError):
+            combine([(c, 1), (other, 1.5)])
 
     def test_class_exponent(self):
         m = BrauerGroupModel(2, (2, 2))

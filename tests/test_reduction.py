@@ -35,6 +35,7 @@ from helpers import (
     biquaternion_model,
     by_degree,
     mixed_exponent_model,
+    oracle_combine,
     oracle_coset_floor,
     oracle_level_reduced_index,
     oracle_reduced_index,
@@ -332,8 +333,21 @@ def _check_against_oracle(target, factors):
     assert (got.value, got.witness) == want
     assert got.value == oracle_level_reduced_index(target, base)
     assert len(combines) == scanned
+    # one combine per tuple, of two terms: the class and its step class
+    assert all(len(terms) == 2 for terms in combines)
     assert reduction_term(target, base, got.witness) == got.value
     return reached
+
+
+def _enumerated_questions():
+    """Every one- and two-factor question over ENUMERATED_MODELS, at each k
+    pattern, as (target, [(algebra, k), ...])."""
+    for model in ENUMERATED_MODELS:
+        for s, algebras in by_degree(model).items():
+            for n in (1, 2):
+                for target, *bases in itertools.product(algebras, repeat=n + 1):
+                    for ks in itertools.product(range(s), repeat=n):
+                        yield target, list(zip(bases, ks))
 
 
 class TestReducedIndexBeyondTwoFactorsAndPTwo:
@@ -343,14 +357,26 @@ class TestReducedIndexBeyondTwoFactorsAndPTwo:
         # (Z/4 x Z/2: (3,0) over X(1;(1,0)) at (3,)) and never (the
         # biquaternion pin: floor 1, minimum 4)
         reached = set()
-        for model in ENUMERATED_MODELS:
-            for s, algebras in by_degree(model).items():
-                for n in (1, 2):
-                    for target, *bases in itertools.product(algebras, repeat=n + 1):
-                        for ks in itertools.product(range(s), repeat=n):
-                            factors = list(zip(bases, ks))
-                            reached.add(_check_against_oracle(target, factors))
+        for target, factors in _enumerated_questions():
+            reached.add(_check_against_oracle(target, factors))
         assert reached == {"first", "later", "never"}
+
+    def test_enumerated_models_walk_tuple_by_tuple(self):
+        # _balanced_row reads every class the walk yields, not only the
+        # minimizer: every tuple comes in lex order, its class is the table
+        # oracle's, and deficiency times index is the tuple's reduction term
+        for target, factors in _enumerated_questions():
+            base = GSBProduct(tuple(GSBFactor(a, k) for a, k in factors))
+            s, n = target.degree_exponent, len(factors)
+            orders = target.model.generator_orders
+            walk = list(gsbmaps.reduction._twists(target, base, s))
+            tuples = itertools.product(range(1, target.prime**s + 1), repeat=n)
+            assert [tup for tup, _, _ in walk] == list(tuples)
+            for tup, deficiency, cls in walk:
+                terms = [(target.brauer_class.exponents, 1)]
+                terms += [(a.brauer_class.exponents, -i) for (a, _), i in zip(factors, tup)]
+                assert cls.exponents == oracle_combine(orders, terms)
+                assert deficiency * generic_index(cls) == reduction_term(target, base, tup)
 
     @pytest.mark.parametrize(
         "model", [BrauerGroupModel(3, (3, 3)), BrauerGroupModel(3, (9, 3))], ids=str
