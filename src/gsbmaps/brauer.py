@@ -231,7 +231,32 @@ def combine(terms: Sequence[tuple[BrauerClass, int]]) -> BrauerClass:
     Coefficients may be negative or oversized, but must be integers.  All
     classes must share one model: a term whose model is not identical to the
     first term's goes through same_model.
+
+    A sum of two terms, both with the exact int coefficient 1 and the second
+    term's model the first's, is added and reduced in one comprehension;
+    that is each step of the index-reduction walk.  Every other call takes
+    the general path, which checks each term in turn, its model and then
+    its coefficient, so a call makes the same checks in the same order
+    whichever path it takes.
     """
+    if len(terms) == 2:
+        (cls, a), (other, b) = terms
+        group = cls.group
+        if (
+            a.__class__ is int
+            and b.__class__ is int
+            and a == b == 1
+            and other.group is group
+        ):
+            return BrauerClass._reduced(
+                group,
+                tuple([
+                    (x + y) % o
+                    for x, y, o in zip(
+                        cls.exponents, other.exponents, group.generator_orders
+                    )
+                ]),
+            )
     if not terms:
         raise PreconditionError("combine needs at least one term")
     group = terms[0][0].group
@@ -334,29 +359,35 @@ def division_algebra(c: BrauerClass, label: str | None = None) -> AlgebraSpec:
     return AlgebraSpec(c, label)
 
 
-def _span(
-    generators: Iterable[tuple[int, ...]], orders: tuple[int, ...]
-) -> set[tuple[int, ...]]:
-    """Exponent vectors of the subgroup the generators span.
+def _coset(
+    start: tuple[int, ...],
+    generators: Iterable[tuple[int, ...]],
+    orders: tuple[int, ...],
+) -> Iterator[list[tuple[int, ...]]]:
+    """Exponent vectors of the coset start + H, H the subgroup the
+    generators span, in lists: [start], then each new translate as it is
+    added.
 
-    The span S grows one generator g at a time, by the cosets S + g, S + 2g,
-    ... up to the first multiple of g already in S, so each element costs one
-    addition; a generator already in S costs one lookup.
+    The coset C grows one generator g at a time, by the translates C + g,
+    C + 2g, ... up to the first m with start + m*g already in C, so each
+    element costs one addition; a generator already in H costs one addition
+    and one lookup.  The elements are kept with start first, so the first
+    entry of each translate is start + m*g.
     """
-    zero = (0,) * len(orders)
-    span = {zero}
+    coset, elements = {start}, [start]
+    yield [start]
     for g in generators:
-        if g in span:
-            continue
-        coset = list(span)
-        multiple = g
-        while multiple not in span:
-            coset = [
-                tuple([(a + b) % o for a, b, o in zip(x, g, orders)]) for x in coset
+        layer = elements
+        while True:
+            head = tuple([(a + b) % o for a, b, o in zip(layer[0], g, orders)])
+            if head in coset:
+                break
+            layer = [head] + [
+                tuple([(a + b) % o for a, b, o in zip(x, g, orders)]) for x in layer[1:]
             ]
-            span.update(coset)
-            multiple = tuple([(a + b) % o for a, b, o in zip(multiple, g, orders)])
-    return span
+            coset.update(layer)
+            elements += layer
+            yield layer
 
 
 class Subgroup(Value):
@@ -364,7 +395,7 @@ class Subgroup(Value):
 
     Any classes may be given: the subgroup is their span, so closure holds
     by construction and nothing is rejected but a class of another model.
-    Building it costs one span (see _span), one addition per element, and
+    Building it costs one span (see _coset), one addition per element, and
     a subgroup's own elements span it again, so a copy is the same value.
     The elements are kept sorted by exponent vector.
     """
@@ -374,7 +405,12 @@ class Subgroup(Value):
     def __init__(self, group: BrauerGroupModel, elements: Iterable[BrauerClass]):
         elements = tuple(elements)
         same_model([group, *(a.group for a in elements)], "subgroup elements")
-        span = sorted(_span([a.exponents for a in elements], group.generator_orders))
+        orders = group.generator_orders
+        span = sorted(
+            itertools.chain.from_iterable(
+                _coset((0,) * len(orders), [a.exponents for a in elements], orders)
+            )
+        )
         object.__setattr__(self, "group", group)
         object.__setattr__(
             self, "elements", tuple([BrauerClass._reduced(group, e) for e in span])

@@ -28,10 +28,14 @@ class is zero.
 
 Every twisted class lies in the coset [D] + H, H = <[D_1], ..., [D_n]>, and
 every deficiency is at least 1, so no tuple scores below the coset floor
-min{ind(x) : x in [D] + H}.  The floor is computed once per call by spanning
-H over raw exponent vectors, |H| <= min(|G|, prod exp D_j) <= (p^s)^n
-additions and no combine call, and the scan stops at the first tuple that
-reaches it; that tuple is still the first minimizer.
+min{ind(x) : x in [D] + H}.  The floor is found once per call in one pass
+over the coset: brauer._coset grows [D] + H itself over raw exponent
+vectors, |H| <= min(|G|, prod exp D_j) <= (p^s)^n additions and no combine
+call, and each element is scored as it is added.  Index 1 is the least any
+class has, so the pass stops at the first element of index 1, the zero
+class, which the coset holds exactly when [D] lies in H.  The scan stops at
+the first tuple that reaches the floor; that tuple is still the first
+minimizer.
 
 A decision that asks the same question many times runs inside
 reuses_reduced_index: within that one call, reduced_index answers a repeated
@@ -54,9 +58,9 @@ from .brauer import (
     AlgebraSpec,
     BrauerClass,
     BrauerGroupModel,
+    _coset,
     _index,
     _integer,
-    _span,
     combine,
     generic_index,
     same_model,
@@ -222,7 +226,15 @@ def reduced_index(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
     memo = _MEMO.get()
     if memo is None:
         return _enumerate(target, base)
-    key = (target, base.factors)
+    # Equal keys are equal questions: the generator orders fix the model,
+    # each order being a power of its prime greater than 1.  Plain int
+    # tuples hash without a call into Value.__hash__.
+    target_class = target.brauer_class
+    key = (
+        target_class.group.generator_orders,
+        target_class.exponents,
+        tuple([(f.algebra.brauer_class.exponents, f.k) for f in base.factors]),
+    )
     result = memo.get(key)
     if result is None:
         result = memo[key] = _enumerate(target, base)
@@ -248,8 +260,10 @@ def _twists(target: AlgebraSpec, base: GSBProduct, s: int) -> Iterator[tuple]:
     for f in reversed(base.factors):
         table = tables.get(f.k)
         if table is None:
+            # the entries repeat with period p^k, which divides q
             pk = p**f.k
-            table = tables[f.k] = [pk // math.gcd(i, pk) for i in range(q + 1)]
+            row = [pk // math.gcd(i, pk) for i in range(pk)]
+            table = tables[f.k] = row * (q // pk) + row[:1]
         deficiencies.append(table)
         exps = f.algebra.brauer_class.exponents
         step = tuple([(a - e) % o for a, e, o in zip(step, exps, orders)])
@@ -269,18 +283,38 @@ def _twists(target: AlgebraSpec, base: GSBProduct, s: int) -> Iterator[tuple]:
         yield tup, deficiency, cls
 
 
+def _coset_floor(
+    start: tuple[int, ...],
+    generators: Sequence[tuple[int, ...]],
+    orders: tuple[int, ...],
+) -> int:
+    """The least index on the coset start + H, H spanned by the generators.
+
+    Each element is scored as brauer._coset adds it, in one pass; index 1 is
+    the least any class has, so the first element reaching it ends the pass.
+    """
+    floor = math.inf
+    for layer in _coset(start, generators, orders):
+        for x in layer:
+            index = _index(x, orders)
+            if index < floor:
+                if index == 1:
+                    return 1
+                floor = index
+    return floor
+
+
 def _enumerate(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
     same_model([target.model, base.model], "target and base")
     algebras = base.algebras()
     s = common_degree([target, *algebras], "index reduction")
-    # The coset floor (module docstring): the least index on [target] + H,
-    # H spanned by the [D_j].  No tuple scores below it, so the scan stops
-    # at the first tuple that reaches it.
+    # No tuple scores below the coset floor (module docstring), so the scan
+    # stops at the first tuple that reaches it.
     orders = target.brauer_class.group.generator_orders
-    exps = target.brauer_class.exponents
-    floor = min(
-        _index([a + b for a, b in zip(exps, h)], orders)
-        for h in _span([a.brauer_class.exponents for a in algebras], orders)
+    floor = _coset_floor(
+        target.brauer_class.exponents,
+        [a.brauer_class.exponents for a in algebras],
+        orders,
     )
     best, best_tuple = math.inf, ()
     for tup, deficiency, cls in _twists(target, base, s):

@@ -165,6 +165,80 @@ class TestCombine:
         assert out.exponents == oracle
 
 
+@st.composite
+def _two_terms(draw, prime):
+    """Two terms over one model of the given prime, the second class
+    sometimes in an equal but distinct model object; each coefficient is 1
+    half the time, so both paths of combine are drawn."""
+    rank = draw(st.integers(1, 3))
+    orders = tuple(prime ** draw(st.integers(1, 2)) for _ in range(rank))
+    m = BrauerGroupModel(prime, orders)
+    second = BrauerGroupModel(prime, orders) if draw(st.booleans()) else m
+    terms = []
+    for model in (m, second):
+        exps = tuple(draw(st.integers(0, o - 1)) for o in orders)
+        coeff = draw(st.one_of(st.just(1), st.integers(-9, 9)))
+        terms.append((model.element(exps), coeff))
+    return terms
+
+
+class TestTwoTermCombine:
+    """Two terms with the exact int coefficient 1 and one model object are
+    added in one comprehension; every other call takes the general path,
+    which checks each term's model and then its coefficient, in order."""
+
+    @pytest.mark.parametrize("prime", [2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle(self, prime, data):
+        terms = data.draw(_two_terms(prime))
+        out = combine(terms)
+        orders = terms[0][0].group.generator_orders
+        assert out.exponents == oracle_combine(
+            orders, [(c.exponents, k) for c, k in terms]
+        )
+        assert out == BrauerClass(out.group, out.exponents)
+
+    def test_int_like_coefficients_give_the_plain_int_class(self):
+        m = BrauerGroupModel(2, (4, 2))
+        a, b = m.element((1, 1)), m.element((2, 1))
+
+        class Int(int):
+            pass
+
+        class Index:
+            def __init__(self, n):
+                self.n = n
+
+            def __index__(self):
+                return self.n
+
+        want = combine([(a, 1), (b, 1)])
+        assert want.exponents == (3, 0)
+        for one in (True, Int(1), Index(1)):
+            assert combine([(a, one), (b, 1)]) == want
+            assert combine([(a, 1), (b, one)]) == want
+            assert combine([(a, one), (b, one)]) == want
+        assert combine([(a, Int(3)), (b, Index(-1))]) == combine([(a, 3), (b, -1)])
+
+    def test_checks_in_term_order(self):
+        c = BrauerGroupModel(2, (4,)).element((1,))
+        other = BrauerGroupModel(3, (3,)).element((1,))
+        # the first term's coefficient is checked before the second's model
+        with pytest.raises(PreconditionError, match="1.5"):
+            combine([(c, 1.5), (other, 1)])
+        # the second term's model before its coefficient
+        with pytest.raises(ModelMismatchError):
+            combine([(c, 1), (other, 1.5)])
+        with pytest.raises(ModelMismatchError):
+            combine([(c, 1), (other, 1)])
+        # a float equal to 1 is refused on either term
+        with pytest.raises(PreconditionError, match="1.0"):
+            combine([(c, 1.0), (c, 1)])
+        with pytest.raises(PreconditionError, match="1.0"):
+            combine([(c, 1), (c, 1.0)])
+
+
 class TestArithmeticResults:
     """combine and the operators build their results without re-validation;
     the results must still be the canonical classes the constructor gives."""

@@ -35,11 +35,14 @@ from helpers import (
     biquaternion_model,
     by_degree,
     mixed_exponent_model,
+    oracle_closure,
     oracle_combine,
     oracle_coset_floor,
     oracle_level_reduced_index,
     oracle_reduced_index,
     product_of,
+    table_add,
+    table_zero,
     uniform_product,
 )
 
@@ -377,6 +380,39 @@ class TestReducedIndexBeyondTwoFactorsAndPTwo:
                 terms += [(a.brauer_class.exponents, -i) for (a, _), i in zip(factors, tup)]
                 assert cls.exponents == oracle_combine(orders, terms)
                 assert deficiency * generic_index(cls) == reduction_term(target, base, tup)
+
+    def test_enumerated_models_coset_floor_in_one_pass(self, monkeypatch):
+        # the floor of every question is the oracle's; the pass scores each
+        # element of [target] + H once and stops at the zero class, the only
+        # one of index 1, which it reaches at the first element it adds
+        # (Δ1 over X(1;Δ1)), at a later one (Δ3 over X(1;Δ1) x X(1;Δ2)), or
+        # never (floor above 1)
+        scored = []
+        real_index = gsbmaps.reduction._index
+
+        def scoring_index(x, orders):
+            scored.append(x)
+            return real_index(x, orders)
+
+        monkeypatch.setattr(gsbmaps.reduction, "_index", scoring_index)
+        reached = set()
+        for target, factors in _enumerated_questions():
+            orders = target.model.generator_orders
+            start = target.brauer_class.exponents
+            vecs = [a.brauer_class.exponents for a, _ in factors]
+            del scored[:]
+            floor = gsbmaps.reduction._coset_floor(start, vecs, orders)
+            assert floor == oracle_coset_floor(orders, start, vecs)
+            coset = {table_add(orders, start, h) for h in oracle_closure(orders, vecs)}
+            assert scored[0] == start
+            assert len(set(scored)) == len(scored) and set(scored) <= coset
+            if floor > 1:
+                assert set(scored) == coset
+                reached.add("never")
+            else:
+                assert scored[-1] == table_zero(orders)
+                reached.add("first" if len(scored) == 2 else "later")
+        assert reached == {"first", "later", "never"}
 
     @pytest.mark.parametrize(
         "model", [BrauerGroupModel(3, (3, 3)), BrauerGroupModel(3, (9, 3))], ids=str
