@@ -177,7 +177,7 @@ class BrauerClass(Value):
 
     @property
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.exponents)
+        return not any(self.exponents)
 
     def __add__(self, other: BrauerClass) -> BrauerClass:
         if not isinstance(other, BrauerClass):
@@ -260,14 +260,12 @@ def combine(terms: Sequence[tuple[BrauerClass, int]]) -> BrauerClass:
     if not terms:
         raise PreconditionError("combine needs at least one term")
     group = terms[0][0].group
-    total = None
+    total = [0] * group.rank
     for cls, coeff in terms:
         if cls.group is not group:
             same_model([group, cls.group], "combine terms")
-        if coeff.__class__ is not int:
-            coeff = _integer(coeff, "combine coefficient")
-        exps = cls.exponents if coeff == 1 else [coeff * e for e in cls.exponents]
-        total = exps if total is None else [t + e for t, e in zip(total, exps)]
+        coeff = _integer(coeff, "combine coefficient")
+        total = [t + coeff * e for t, e in zip(total, cls.exponents)]
     return BrauerClass._reduced(
         group, tuple([t % o for t, o in zip(total, group.generator_orders)])
     )

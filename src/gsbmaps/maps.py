@@ -20,7 +20,8 @@ from .errors import InvariantViolation, PreconditionError
 from .reduction import (
     GSBFactor,
     GSBProduct,
-    _twists,
+    _balanced_row,
+    _factor_k,
     common_degree,
     reduced_index,
     reuses_reduced_index,
@@ -119,25 +120,6 @@ def classical_criterion(
     return subgroups_equal(lhs, rhs)
 
 
-def _balanced_row(
-    d: AlgebraSpec, family: Sequence[AlgebraSpec], k: int, s: int
-) -> tuple[int, ...] | None:
-    """Lexicographically smallest balanced relation of d over family, or None.
-
-    That is a row i in [1, p^s]^m with sum_j vp(gcd(i_j, p^k)) = k(m-1) and
-    [d] = sum_j i_j [D_j] over the m algebras D_j of family: the same
-    statement as a twist of d over X(p^k;D_1) x ... x X(p^k;D_m) with
-    deficiency p^k and twisted class zero, so the search filters the walk
-    that index reduction uses.
-    """
-    pk = d.prime**k
-    base = GSBProduct(tuple(GSBFactor(a, k) for a in family))
-    for i, deficiency, cls in _twists(d, base, s):
-        if deficiency == pk and cls.is_zero:
-            return i
-    return None
-
-
 def relation_witness(
     target: AlgebraSpec, base: GSBProduct
 ) -> tuple[int, ...] | None:
@@ -203,7 +185,7 @@ def mutual_relation_witness(
         raise PreconditionError("families must be nonempty")
     same_model([a.model for a in (*left, *right)], "families")
     s = common_degree([*left, *right], "criterion")
-    k = GSBFactor(left[0], k).k
+    k = _factor_k(k, left[0].degree_exponent, left[0].prime)
     for name, family in (("left", left), ("right", right)):
         exps = {a.exponent for a in family}
         if len(exps) != 1:

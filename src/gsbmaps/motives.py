@@ -16,7 +16,13 @@ from ._value import Value
 from .brauer import AlgebraSpec, same_model
 from .errors import PreconditionError
 from .maps import classical_criterion, equivalent
-from .reduction import GSBFactor, GSBProduct, common_degree, reuses_reduced_index
+from .reduction import (
+    GSBFactor,
+    GSBProduct,
+    _factor_k,
+    common_degree,
+    reuses_reduced_index,
+)
 
 
 def _factor_key(f: GSBFactor) -> tuple[int, int, tuple[int, ...]]:
@@ -63,8 +69,8 @@ def classify_single(d: AlgebraSpec, k: int, d2: AlgebraSpec, k2: int) -> bool:
 
     Must agree with motives_isomorphic on the corresponding descriptors.
     """
-    k = GSBFactor(d, k).k
-    k2 = GSBFactor(d2, k2).k
+    k = _factor_k(k, d.degree_exponent, d.prime)
+    k2 = _factor_k(k2, d2.degree_exponent, d2.prime)
     same_model([d.model, d2.model], "algebras")
     return k == k2 and classical_criterion([d], [d2])
 
@@ -120,15 +126,12 @@ def family_motives(
     if not algebras:
         raise PreconditionError("a family needs at least one algebra")
     same_model([a.model for a in algebras], "family algebras")
+    # each X(p^k;D_j) once, one list per algebra, shared by every subset
+    choices = [[GSBFactor(a, k) for k in range(a.degree_exponent)] for a in algebras]
     found = set()
-    n = len(algebras)
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            ranges = [range(algebras[j].degree_exponent) for j in subset]
-            for ks in itertools.product(*ranges):
-                factors = tuple(
-                    GSBFactor(algebras[j], kk) for j, kk in zip(subset, ks)
-                )
+    for size in range(1, len(choices) + 1):
+        for subset in itertools.combinations(choices, size):
+            for factors in itertools.product(*subset):
                 found.add(UpperMotiveDescriptor(factors))
     return tuple(sorted(found, key=_descriptor_key))
 

@@ -9,7 +9,9 @@ over the function field of X(p^{k_1};D_1) x ... x X(p^{k_n};D_n) is
 
 computed here by enumeration in lex order, with the lexicographically
 smallest minimizer returned as a witness.  The inputs are validated once per
-call.  One walk, _twists, yields every tuple with its deficiency and twisted
+call, and the base is read once into (exponent vector, k) pairs; the memo
+key, the coset floor and the walk read those pairs, never the value objects.
+One walk, _twists, yields every tuple with its deficiency and twisted
 class.  Each twisted class is the previous one plus one step: raising i_r by
 one wraps every later entry from p^s back to 1, and p^s*[D_j] = 0 (the
 exponent of D_j divides its index p^s), so the class moves by the step
@@ -20,7 +22,8 @@ per factor; the model index is computed only when the deficiency alone is
 below the best value so far.  A deficiency table depends only on p^k, so a
 call builds one for each distinct k of the base.
 
-The balanced relations of maps share that walk.  A row i in [1, p^s]^m with
+The balanced relations of maps share that walk, and their search,
+_balanced_row, sits beside it.  A row i in [1, p^s]^m with
 sum_j vp(gcd(i_j, p^k)) = k(m-1) and [D] = sum_j i_j [D_j] is exactly a
 twist of D over X(p^k;D_1) x ... x X(p^k;D_m) whose deficiency
 p^(km - sum_j vp(gcd(i_j, p^k))) is p^(km - k(m-1)) = p^k and whose twisted
@@ -71,8 +74,9 @@ from .errors import InvariantViolation, PreconditionError
 def _factor_k(k: object, degree_exponent: int, prime: int) -> int:
     """k as an integer with 0 <= k < s for an algebra of degree prime**s, s
     the degree_exponent, else PreconditionError naming k.  The one home of
-    the rule on k: GSBFactor checks it, and so does the instance loader,
-    which knows a named variety's degree exponents without building specs.
+    the rule on k: GSBFactor checks it, and so do classify_single and
+    mutual_relation_witness for their bare k and the instance loader, which
+    knows a named variety's degree exponents without building specs.
     """
     k = _integer(k, "k")
     if not 0 <= k < degree_exponent:
@@ -86,9 +90,8 @@ def _factor_k(k: object, degree_exponent: int, prime: int) -> int:
 class GSBFactor(Value):
     """X(p^k; D): right ideals of reduced dimension p^k in a division algebra D.
 
-    The constructor checks k with _factor_k.  Functions that take a bare k
-    (classify_single, mutual_relation_witness) check it by building a
-    GSBFactor.
+    The constructor checks k with _factor_k; a bare k is checked by
+    _factor_k directly.
     """
 
     __slots__ = ("algebra", "k")
@@ -223,28 +226,28 @@ def reduced_index(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
     enumerated again; a bare call opens no scope and keeps nothing, and a
     call that raised leaves nothing behind.
     """
+    pairs = tuple([(f.algebra.brauer_class.exponents, f.k) for f in base.factors])
     memo = _MEMO.get()
     if memo is None:
-        return _enumerate(target, base)
+        return _enumerate(target, base, pairs)
     # Equal keys are equal questions: the generator orders fix the model,
     # each order being a power of its prime greater than 1.  Plain int
     # tuples hash without a call into Value.__hash__.
     target_class = target.brauer_class
-    key = (
-        target_class.group.generator_orders,
-        target_class.exponents,
-        tuple([(f.algebra.brauer_class.exponents, f.k) for f in base.factors]),
-    )
+    key = (target_class.group.generator_orders, target_class.exponents, pairs)
     result = memo.get(key)
     if result is None:
-        result = memo[key] = _enumerate(target, base)
+        result = memo[key] = _enumerate(target, base, pairs)
     return result
 
 
-def _twists(target: AlgebraSpec, base: GSBProduct, s: int) -> Iterator[tuple]:
-    """Every twist of target over base in lex order, as (tuple, deficiency,
-    twisted class); the caller has checked the model and the degree p^s."""
-    group = target.brauer_class.group
+def _twists(
+    start: BrauerClass, pairs: Sequence[tuple[tuple[int, ...], int]], s: int
+) -> Iterator[tuple]:
+    """Every twist of the class start over the base read as (exponent
+    vector, k) pairs, in lex order, as (tuple, deficiency, twisted class);
+    the caller has checked the model and the degree p^s."""
+    group = start.group
     p, orders = group.prime, group.generator_orders
     q = p**s
     # deficiencies[j][i] = p^{k_j}/gcd(i, p^{k_j}) for the entries i in [1, q],
@@ -257,21 +260,20 @@ def _twists(target: AlgebraSpec, base: GSBProduct, s: int) -> Iterator[tuple]:
     # r = 0.
     tables, deficiencies, steps = {}, [], []
     step = (0,) * len(orders)
-    for f in reversed(base.factors):
-        table = tables.get(f.k)
+    for exps, k in reversed(pairs):
+        table = tables.get(k)
         if table is None:
             # the entries repeat with period p^k, which divides q
-            pk = p**f.k
+            pk = p**k
             row = [pk // math.gcd(i, pk) for i in range(pk)]
-            table = tables[f.k] = row * (q // pk) + row[:1]
+            table = tables[k] = row * (q // pk) + row[:1]
         deficiencies.append(table)
-        exps = f.algebra.brauer_class.exponents
         step = tuple([(a - e) % o for a, e, o in zip(step, exps, orders)])
         steps.append(BrauerClass._reduced(group, step))
     deficiencies.reverse()
     steps.reverse()
     n = len(steps)
-    cls = target.brauer_class
+    cls = start
     for tup in itertools.product(range(1, q + 1), repeat=n):
         r = n - 1
         while r and tup[r] == 1:
@@ -281,6 +283,21 @@ def _twists(target: AlgebraSpec, base: GSBProduct, s: int) -> Iterator[tuple]:
         for table, ij in zip(deficiencies, tup):
             deficiency *= table[ij]
         yield tup, deficiency, cls
+
+
+def _balanced_row(
+    d: AlgebraSpec, family: Sequence[AlgebraSpec], k: int, s: int
+) -> tuple[int, ...] | None:
+    """Lexicographically smallest balanced relation of d over the algebras
+    of family, or None: the first twist of the walk with deficiency p^k and
+    twisted class zero (module docstring).  The caller has checked the
+    model, the degree p^s and k."""
+    pk = d.prime**k
+    pairs = [(a.brauer_class.exponents, k) for a in family]
+    for i, deficiency, cls in _twists(d.brauer_class, pairs, s):
+        if deficiency == pk and cls.is_zero:
+            return i
+    return None
 
 
 def _coset_floor(
@@ -304,20 +321,16 @@ def _coset_floor(
     return floor
 
 
-def _enumerate(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
+def _enumerate(target: AlgebraSpec, base: GSBProduct, pairs: tuple) -> ReducedIndex:
     same_model([target.model, base.model], "target and base")
-    algebras = base.algebras()
-    s = common_degree([target, *algebras], "index reduction")
+    s = common_degree([target, *base.algebras()], "index reduction")
     # No tuple scores below the coset floor (module docstring), so the scan
     # stops at the first tuple that reaches it.
-    orders = target.brauer_class.group.generator_orders
-    floor = _coset_floor(
-        target.brauer_class.exponents,
-        [a.brauer_class.exponents for a in algebras],
-        orders,
-    )
+    start = target.brauer_class
+    orders = start.group.generator_orders
+    floor = _coset_floor(start.exponents, [exps for exps, _ in pairs], orders)
     best, best_tuple = math.inf, ()
-    for tup, deficiency, cls in _twists(target, base, s):
+    for tup, deficiency, cls in _twists(start, pairs, s):
         # the index is at least 1, so only a deficiency below best can win
         if deficiency < best:
             value = deficiency * _index(cls.exponents, orders)

@@ -216,3 +216,17 @@ def product_of(algebras, ks):
 
 def uniform_product(algebras, k):
     return product_of(algebras, [k] * len(algebras))
+
+
+def count_constructions(monkeypatch):
+    """GSBFactor and GSBProduct constructor calls by class name, counted as
+    they happen."""
+    counts = {"GSBFactor": 0, "GSBProduct": 0}
+    for cls in (GSBFactor, GSBProduct):
+
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+            counts[_name] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts

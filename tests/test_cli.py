@@ -401,6 +401,12 @@ class TestExitCodes:
         assert out == ""
         assert err == "internal invariant failure: boom\n"
 
+    def test_text_of_an_unknown_command_is_an_invariant_violation(self):
+        from gsbmaps.errors import InvariantViolation
+
+        with pytest.raises(InvariantViolation, match="no text rendering for command 'nope'"):
+            cli_mod._text({"command": "nope"})
+
     @pytest.mark.parametrize(
         "argv, names",
         [

@@ -15,6 +15,7 @@ from gsbmaps import (
     BrauerGroupModel,
     GSBFactor,
     GSBProduct,
+    InvariantViolation,
     ModelMismatchError,
     PreconditionError,
     classical_criterion,
@@ -33,6 +34,7 @@ from helpers import (
     ENUMERATED_MODELS,
     biquaternion_model,
     by_degree,
+    count_constructions,
     mixed_exponent_model,
     oracle_balanced_rows,
     uniform_product,
@@ -230,6 +232,14 @@ class TestRelationWitness:
             )
             assert residual.is_zero
 
+    def test_point_without_balanced_relation_is_an_invariant_violation(
+        self, monkeypatch
+    ):
+        _, d1, _, _ = biquaternion_model()
+        monkeypatch.setattr(gsbmaps.maps, "_balanced_row", lambda d, family, k, s: None)
+        with pytest.raises(InvariantViolation, match="no balanced relation"):
+            relation_witness(d1, uniform_product([d1], 1))
+
 
 class TestMutualRelationWitness:
     def test_identity_family(self):
@@ -244,6 +254,14 @@ class TestMutualRelationWitness:
     def test_biquaternion_absent_at_k1(self):
         _, d1, d2, d3 = biquaternion_model()
         assert mutual_relation_witness([d1, d2], [d1, d3], 1) is None
+
+    def test_builds_no_factor_or_product(self, monkeypatch):
+        # the bare k is checked by _factor_k, and the search reads each
+        # family as plain (exponent vector, k) pairs
+        _, d1, d2, d3 = biquaternion_model()
+        built = count_constructions(monkeypatch)
+        assert mutual_relation_witness([d1, d2], [d1, d3], 1) is None
+        assert built == {"GSBFactor": 0, "GSBProduct": 0}
 
     def test_biquaternion_present_at_k0(self):
         _, d1, d2, d3 = biquaternion_model()

@@ -24,6 +24,7 @@ from gsbmaps import (
 from helpers import (
     biquaternion_model,
     by_degree,
+    count_constructions,
     division_classes,
     mixed_exponent_model,
     uniform_product,
@@ -144,6 +145,14 @@ class TestFamilyMotives:
         _, d1, _, _ = biquaternion_model()
         motives = family_motives([d1, d1])
         assert len(motives) == len(set(motives)) == 5
+
+    def test_each_factor_built_once(self, monkeypatch):
+        # three algebras of degree 4, each at k = 0 and 1: 6 factors shared
+        # by the 2*3 + 4*3 + 8 descriptors
+        _, d1, d2, d3 = mixed_exponent_model()
+        built = count_constructions(monkeypatch)
+        assert len(family_motives([d1, d2, d3])) == 26
+        assert built == {"GSBFactor": 6, "GSBProduct": 0}
 
 
 class TestCompareFamilies:

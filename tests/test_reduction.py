@@ -15,6 +15,7 @@ from gsbmaps import (
     BrauerGroupModel,
     GSBFactor,
     GSBProduct,
+    InvariantViolation,
     ModelMismatchError,
     PreconditionError,
     class_exponent,
@@ -167,6 +168,12 @@ class TestReducedIndex:
         d = division_algebra(m.element((1,)))
         result = reduced_index(d, uniform_product([d], 0))
         assert result == (1, (1,))
+
+    def test_a_walk_of_no_tuples_is_an_invariant_violation(self, monkeypatch):
+        _, d1, d2, _ = biquaternion_model()
+        monkeypatch.setattr(gsbmaps.reduction, "_twists", lambda start, pairs, s: iter(()))
+        with pytest.raises(InvariantViolation, match="enumerated no tuples"):
+            reduced_index(d1, uniform_product([d2], 1))
 
     def test_degree_mismatch_rejected(self):
         m = BrauerGroupModel(2, (4, 2))
@@ -370,9 +377,10 @@ class TestReducedIndexBeyondTwoFactorsAndPTwo:
         # oracle's, and deficiency times index is the tuple's reduction term
         for target, factors in _enumerated_questions():
             base = GSBProduct(tuple(GSBFactor(a, k) for a, k in factors))
+            pairs = [(a.brauer_class.exponents, k) for a, k in factors]
             s, n = target.degree_exponent, len(factors)
             orders = target.model.generator_orders
-            walk = list(gsbmaps.reduction._twists(target, base, s))
+            walk = list(gsbmaps.reduction._twists(target.brauer_class, pairs, s))
             tuples = itertools.product(range(1, target.prime**s + 1), repeat=n)
             assert [tup for tup, _, _ in walk] == list(tuples)
             for tup, deficiency, cls in walk:
