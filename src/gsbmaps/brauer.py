@@ -14,6 +14,8 @@ import itertools
 import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
+from math import gcd
+from operator import add, mod
 
 from ._value import Value
 from .errors import ModelMismatchError, PreconditionError
@@ -137,8 +139,8 @@ class BrauerClass(Value):
     """An element of a BrauerGroupModel, as a canonical reduced exponent vector.
 
     The constructor validates and reduces its exponents.  The operators +, -
-    and * are combine, which builds its result through _reduced, doing
-    neither.
+    and * are combine, which builds its result through _reduced, the one
+    trusted constructor, doing neither.
     """
 
     __slots__ = ("group", "exponents")
@@ -154,15 +156,14 @@ class BrauerClass(Value):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "exponents", reduced)
 
-    @classmethod
-    def _reduced(
-        cls, group: BrauerGroupModel, exponents: tuple[int, ...]
-    ) -> BrauerClass:
+    @staticmethod
+    def _reduced(group: BrauerGroupModel, exponents: tuple[int, ...]) -> BrauerClass:
         # exponents must be a tuple of ints already in [0, order) for group;
-        # the slots of the frozen instance are written directly
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "group", group)
-        object.__setattr__(obj, "exponents", exponents)
+        # the slots of the frozen instance are written through their
+        # descriptors (bound below the class), past Value.__setattr__
+        obj = _new_object(BrauerClass)
+        _set_group(obj, group)
+        _set_exponents(obj, exponents)
         return obj
 
     # written out for speed; equal classes have equal exponents, so the
@@ -204,6 +205,11 @@ class BrauerClass(Value):
         return "(" + ",".join(map(str, self.exponents)) + ")"
 
 
+_new_object = object.__new__
+_set_group = BrauerClass.group.__set__
+_set_exponents = BrauerClass.exponents.__set__
+
+
 def same_model(models: Iterable[BrauerGroupModel], what: str) -> BrauerGroupModel:
     """The one model shared by all of models, compared with is before ==.
 
@@ -233,11 +239,11 @@ def combine(terms: Sequence[tuple[BrauerClass, int]]) -> BrauerClass:
     first term's goes through same_model.
 
     A sum of two terms, both with the exact int coefficient 1 and the second
-    term's model the first's, is added and reduced in one comprehension;
-    that is each step of the index-reduction walk.  Every other call takes
-    the general path, which checks each term in turn, its model and then
-    its coefficient, so a call makes the same checks in the same order
-    whichever path it takes.
+    term's model the first's, is added and reduced by map over the exponent
+    vectors; that is each step of the index-reduction walk.  Every other
+    call takes the general path, which checks each term in turn, its model
+    and then its coefficient, so a call makes the same checks in the same
+    order whichever path it takes.
     """
     if len(terms) == 2:
         (cls, a), (other, b) = terms
@@ -250,12 +256,13 @@ def combine(terms: Sequence[tuple[BrauerClass, int]]) -> BrauerClass:
         ):
             return BrauerClass._reduced(
                 group,
-                tuple([
-                    (x + y) % o
-                    for x, y, o in zip(
-                        cls.exponents, other.exponents, group.generator_orders
+                tuple(
+                    map(
+                        mod,
+                        map(add, cls.exponents, other.exponents),
+                        group.generator_orders,
                     )
-                ]),
+                ),
             )
     if not terms:
         raise PreconditionError("combine needs at least one term")
@@ -294,7 +301,7 @@ def _index(exponents: Iterable[int], orders: tuple[int, ...]) -> int:
     gcd(e, o) depends only on e mod o."""
     result = 1
     for e, o in zip(exponents, orders):
-        result *= o // math.gcd(e, o)
+        result *= o // gcd(e, o)
     return result
 
 
@@ -318,7 +325,7 @@ class AlgebraSpec(Value, compare=("brauer_class",)):
         cls, brauer_class: BrauerClass, label: str | None, degree_exponent: int
     ) -> AlgebraSpec:
         # degree_exponent must be vp of the model index of brauer_class; the
-        # slots are written directly, as in BrauerClass._reduced
+        # slots are written directly
         obj = object.__new__(cls)
         object.__setattr__(obj, "brauer_class", brauer_class)
         object.__setattr__(obj, "label", label)
@@ -377,11 +384,11 @@ def _coset(
     for g in generators:
         layer = elements
         while True:
-            head = tuple([(a + b) % o for a, b, o in zip(layer[0], g, orders)])
+            head = tuple(map(mod, map(add, layer[0], g), orders))
             if head in coset:
                 break
             layer = [head] + [
-                tuple([(a + b) % o for a, b, o in zip(x, g, orders)]) for x in layer[1:]
+                tuple(map(mod, map(add, x, g), orders)) for x in layer[1:]
             ]
             coset.update(layer)
             elements += layer

@@ -16,11 +16,9 @@ class.  Each twisted class is the previous one plus one step: raising i_r by
 one wraps every later entry from p^s back to 1, and p^s*[D_j] = 0 (the
 exponent of D_j divides its index p^s), so the class moves by the step
 class -([D_r] + ... + [D_n]).  The n step classes are summed once per call
-from the raw exponent vectors, with no combine call, so a tuple costs one
-combine call of two terms, the class and its step, and one deficiency lookup
-per factor; the model index is computed only when the deficiency alone is
-below the best value so far.  A deficiency table depends only on p^k, so a
-call builds one for each distinct k of the base.
+from the raw exponent vectors, with no combine call.  A deficiency table
+depends only on (p, k, s), so it is built once per process and kept in a
+small bounded cache shared by all calls.
 
 The balanced relations of maps share that walk, and their search,
 _balanced_row, sits beside it.  A row i in [1, p^s]^m with
@@ -40,6 +38,12 @@ class, which the coset holds exactly when [D] lies in H.  The scan stops at
 the first tuple that reaches the floor; that tuple is still the first
 minimizer.
 
+A question thus costs a fixed part and a part per tuple scanned.  The fixed
+part is the floor pass and the n step classes (the deficiency tables come
+from the cache).  Each tuple costs one combine call of two terms, the class
+and its step, one deficiency product over the tables, and the model index of
+the class only when the deficiency alone is below the best value so far.
+
 A decision that asks the same question many times runs inside
 reuses_reduced_index: within that one call, reduced_index answers a repeated
 (target, base factors) question from the first answer.  Nothing is kept once
@@ -55,6 +59,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from contextvars import ContextVar
+from operator import getitem, mod, sub
 
 from ._value import Value
 from .brauer import (
@@ -241,6 +246,16 @@ def reduced_index(target: AlgebraSpec, base: GSBProduct) -> ReducedIndex:
     return result
 
 
+@functools.lru_cache(maxsize=64)
+def _deficiency_table(p: int, k: int, s: int) -> tuple[int, ...]:
+    """p^k/gcd(i, p^k) for the entries i in [0, p^s] (index 0 is never
+    read), built from one period: the entries repeat with period p^k, which
+    divides p^s.  Kept per process for the last 64 (p, k, s) asked."""
+    pk = p**k
+    row = [pk // math.gcd(i, pk) for i in range(pk)]
+    return tuple(row * (p ** (s - k)) + row[:1])
+
+
 def _twists(
     start: BrauerClass, pairs: Sequence[tuple[tuple[int, ...], int]], s: int
 ) -> Iterator[tuple]:
@@ -249,40 +264,29 @@ def _twists(
     the caller has checked the model and the degree p^s."""
     group = start.group
     p, orders = group.prime, group.generator_orders
-    q = p**s
-    # deficiencies[j][i] = p^{k_j}/gcd(i, p^{k_j}) for the entries i in [1, q],
-    # one table for each distinct k (index 0 is never read).  A tuple whose
-    # entry r is not 1 and whose later entries are all 1 follows the one
-    # before it by raising entry r and wrapping the later entries from q back
-    # to 1; q*[D_j] = 0, so the class moves by the step class
-    # steps[r] = -([D_r] + ... + [D_n]) (module docstring), summed from the
-    # back over the raw exponent vectors.  The first tuple is the same step at
-    # r = 0.
-    tables, deficiencies, steps = {}, [], []
+    # deficiencies[j][i] = p^{k_j}/gcd(i, p^{k_j}) for the entries i in [1, p^s].
+    # A tuple whose entry r is not 1 and whose later entries are all 1
+    # follows the one before it by raising entry r and wrapping the later
+    # entries from p^s back to 1; p^s*[D_j] = 0, so the class moves by the
+    # step class -([D_r] + ... + [D_n]) (module docstring), summed from the
+    # back over the raw exponent vectors and kept as the combine term
+    # steps[r].  The first tuple is the same step at r = 0.
+    deficiencies, steps = [], []
     step = (0,) * len(orders)
     for exps, k in reversed(pairs):
-        table = tables.get(k)
-        if table is None:
-            # the entries repeat with period p^k, which divides q
-            pk = p**k
-            row = [pk // math.gcd(i, pk) for i in range(pk)]
-            table = tables[k] = row * (q // pk) + row[:1]
-        deficiencies.append(table)
-        step = tuple([(a - e) % o for a, e, o in zip(step, exps, orders)])
-        steps.append(BrauerClass._reduced(group, step))
+        deficiencies.append(_deficiency_table(p, k, s))
+        step = tuple(map(mod, map(sub, step, exps), orders))
+        steps.append((BrauerClass._reduced(group, step), 1))
     deficiencies.reverse()
     steps.reverse()
     n = len(steps)
     cls = start
-    for tup in itertools.product(range(1, q + 1), repeat=n):
+    for tup in itertools.product(range(1, p**s + 1), repeat=n):
         r = n - 1
         while r and tup[r] == 1:
             r -= 1
-        cls = combine([(cls, 1), (steps[r], 1)])
-        deficiency = 1
-        for table, ij in zip(deficiencies, tup):
-            deficiency *= table[ij]
-        yield tup, deficiency, cls
+        cls = combine([(cls, 1), steps[r]])
+        yield tup, math.prod(map(getitem, deficiencies, tup)), cls
 
 
 def _balanced_row(

@@ -25,7 +25,7 @@ from gsbmaps import (
     subgroups_equal,
     vp,
 )
-from gsbmaps.brauer import _is_prime
+from gsbmaps.brauer import _index, _is_prime
 from helpers import (
     ENUMERATED_MODELS,
     biquaternion_model,
@@ -40,7 +40,7 @@ from helpers import (
 
 @st.composite
 def models(draw):
-    p = draw(st.sampled_from([2, 3]))
+    p = draw(st.sampled_from([2, 3, 5]))
     rank = draw(st.integers(1, 3))
     orders = tuple(p ** draw(st.integers(1, 2)) for _ in range(rank))
     total = 1
@@ -239,6 +239,35 @@ class TestTwoTermCombine:
             combine([(c, 1), (c, 1.0)])
 
 
+class TestTrustedConstructor:
+    """combine's two-term path builds its result through BrauerClass._reduced,
+    which writes the two slots past Value.__setattr__ and checks nothing; the
+    result must still be the constructor's class, and stay frozen."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(model_and_classes(count=2))
+    def test_two_term_result_is_the_constructor_class(self, mc):
+        m, (a, b) = mc
+        out = combine([(a, 1), (b, 1)])
+        assert all(type(e) is int for e in out.exponents)
+        assert all(0 <= e < o for e, o in zip(out.exponents, m.generator_orders))
+        want = m.element(tuple(x + y for x, y in zip(a.exponents, b.exponents)))
+        assert out.exponents == want.exponents
+        assert out == want and hash(out) == hash(want)
+
+    def test_fields_stay_frozen(self):
+        m = BrauerGroupModel(5, (25, 5))
+        a, b = m.element((3, 1)), m.element((24, 4))
+        for c in (combine([(a, 1), (b, 1)]), m.zero(), next(m.elements())):
+            before = (c.group, c.exponents)
+            for name in ("group", "exponents"):
+                with pytest.raises(AttributeError, match="immutable"):
+                    setattr(c, name, getattr(c, name))
+                with pytest.raises(AttributeError, match="immutable"):
+                    delattr(c, name)
+            assert (c.group, c.exponents) == before
+
+
 class TestArithmeticResults:
     """combine and the operators build their results without re-validation;
     the results must still be the canonical classes the constructor gives."""
@@ -421,6 +450,16 @@ class TestExponentAndIndex:
         if class_exponent(c) in (1, m.prime):
             nonzero = sum(1 for e in c.exponents if e != 0)
             assert generic_index(c) == m.prime**nonzero
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_index_of_unreduced_and_negative_vectors(self, data):
+        # _index reads the exponent vector as it comes (the walk and the
+        # coset floor pass reduced ones): gcd(e, o) depends only on e mod o
+        orders = data.draw(models()).generator_orders
+        exps = tuple(data.draw(st.integers(-3 * o, 3 * o)) for o in orders)
+        reduced = tuple(e % o for e, o in zip(exps, orders))
+        assert _index(exps, orders) == oracle_index(orders, reduced)
 
     @settings(max_examples=100, deadline=None)
     @given(model_and_classes())

@@ -496,6 +496,93 @@ class TestReducedIndexBeyondTwoFactorsAndPTwo:
             assert tuples[terms.index(result.value)] == result.witness
 
 
+class TestReducedIndexAtPFive:
+    # the class arithmetic runs mod powers of 5 and each deficiency table
+    # repeats with period 5^k; every answer against both oracles, and the
+    # scan against the oracle's count of tuples (_check_against_oracle)
+
+    @pytest.mark.parametrize(
+        "model", [BrauerGroupModel(5, (25,)), BrauerGroupModel(5, (5, 5))], ids=str
+    )
+    def test_one_factor_matches_oracle(self, model):
+        for s, algebras in by_degree(model).items():
+            # Z/25 at s = 2 has 20 algebras; two targets keep it near a second
+            for target in algebras[:2]:
+                for b in algebras:
+                    for k in range(s):
+                        _check_against_oracle(target, [(b, k)])
+
+    def test_two_factors_over_z5_squared_match_oracle(self):
+        # (Z/5)^2: every algebra has degree 5, so k = 0; a target in the
+        # span of the base reduces to index 1, any other stays at 5
+        algebras = by_degree(BrauerGroupModel(5, (5, 5)))[1]
+        for target in algebras[:2]:
+            for b1, b2 in itertools.combinations_with_replacement(algebras, 2):
+                _check_against_oracle(target, [(b1, 0), (b2, 0)])
+
+    def test_two_factors_over_z25_match_oracle(self):
+        model = BrauerGroupModel(5, (25,))
+        degrees = by_degree(model)
+        # degree 5: the classes 5, 10, 15, 20, every target and base pair
+        for target in degrees[1]:
+            for b1, b2 in itertools.combinations_with_replacement(degrees[1], 2):
+                _check_against_oracle(target, [(b1, 0), (b2, 0)])
+        # degree 25: 25^2 tuples a question, so the bases 2, 3 and 4 at every
+        # k pattern, for the target 1, no base algebra, and 3, one of them
+        algebras = degrees[2]
+        for target in (algebras[0], algebras[2]):
+            for b1, b2 in itertools.combinations_with_replacement(algebras[1:4], 2):
+                for ks in itertools.product(range(2), repeat=2):
+                    _check_against_oracle(target, [(b1, ks[0]), (b2, ks[1])])
+
+
+class TestDeficiencyTables:
+    # a deficiency table depends only on (p, k, s) and is kept per process
+
+    def test_interleaved_primes_and_degrees_match_oracle(self):
+        # questions over (p, s) = (2, 2), (2, 3), (3, 2) and (5, 1), taken in
+        # turn from a cleared cache: a table keyed on less than (p, k, s), k
+        # alone say, would serve one of them another's table
+        gsbmaps.reduction._deficiency_table.cache_clear()
+        streams = []
+        for model, s in (
+            (BrauerGroupModel(2, (4, 2)), 2),
+            (BrauerGroupModel(2, (8,)), 3),
+            (BrauerGroupModel(3, (9,)), 2),
+            (BrauerGroupModel(5, (5, 5)), 1),
+        ):
+            algebras = by_degree(model)[s]
+            streams.append(
+                [
+                    (target, [(b, k)])
+                    for target, b in itertools.product(algebras[:3], repeat=2)
+                    for k in range(s)
+                ]
+            )
+        asked = 0
+        for round_ in itertools.zip_longest(*streams):
+            for question in round_:
+                if question is not None:
+                    _check_against_oracle(*question)
+                    asked += 1
+        assert asked == sum(map(len, streams))
+        keys = gsbmaps.reduction._deficiency_table.cache_info().currsize
+        assert keys == 2 + 3 + 2 + 1
+
+    def test_tables_are_tuples_in_a_bounded_cache(self):
+        table = gsbmaps.reduction._deficiency_table
+        assert table(3, 1, 2) == (1, 3, 3, 1, 3, 3, 1, 3, 3, 1)
+        maxsize = table.cache_info().maxsize
+        assert maxsize is not None
+        keys = [(2, k, s) for s in range(1, 14) for k in range(s)]
+        assert len(keys) > maxsize
+        for key in keys:
+            got = table(*key)
+            assert type(got) is tuple and len(got) == 2 ** key[2] + 1
+            assert table(*key) is got
+        assert table.cache_info().currsize == maxsize
+
+
 class TestNonIntegerInputs:
     # accepted before, or truncated to a different tuple; refused now
     def test_reduction_term_entry(self):
