@@ -7,11 +7,11 @@ over the function field of X(p^{k_1};D_1) x ... x X(p^{k_n};D_n) is
     min over (i_1,...,i_n) in [1, p^s]^n of
         prod_j p^{k_j}/gcd(i_j, p^{k_j}) * ind(D (x) D_1^{-i_1} (x) ... (x) D_n^{-i_n})
 
-computed here by enumeration in lex order, with the lexicographically
-smallest minimizer returned as a witness.  The inputs are validated once per
-call, and the base is read once into (exponent vector, k) pairs; the memo
-key, the coset floor and the walk read those pairs, never the value objects.
-One walk, _twists, yields every tuple with its deficiency and twisted
+computed here by enumeration in lex order, or from suffix tables once that
+walk runs long, with the lexicographically smallest minimizer returned as a
+witness.  The inputs are validated once per call, and the base is read once
+into (exponent vector, k) pairs; the memo key, the coset floor, the walk
+and the tables read those pairs, never the value objects.  One walk, _twists, yields every tuple with its deficiency and twisted
 class.  Each twisted class is the previous one plus one step: raising i_r by
 one wraps every later entry from p^s back to 1, and p^s*[D_j] = 0 (the
 exponent of D_j divides its index p^s), so the class moves by the step
@@ -38,11 +38,40 @@ class, which the coset holds exactly when [D] lies in H.  The scan stops at
 the first tuple that reaches the floor; that tuple is still the first
 minimizer.
 
+A walk that has not reached the floor after F = n * p^s * |G| tuples, |G|
+the product of the generator orders, stops there, and suffix tables give
+the exact minimum (Merkurjev, Panin and Wadsworth, Index reduction formulas
+for twisted flag varieties I, K-Theory 10, 1996).  The value of a tuple is
+prod_j def_j(i_j) * ind([D] - sum_j i_j [D_j]), and the deficiency product
+separates by factor, so only the sum h = sum_{j >= r} i_j [D_j] of a suffix
+and its least deficiency product matter to what comes before it:
+
+    T_{n+1} = {0 -> 1},
+    T_r[x + i [D_r]] = min def_r(i) * T_{r+1}[x] over i in [1, p^s],
+
+over raw exponent vectors, and the minimum is min over h of T_1[h] *
+ind([D] - h).  The witness is built greedily: for r = 1, ..., n the least
+i_r whose prefix deficiency times def_r(i_r) times min over h of
+T_{r+1}[h] * ind(class - i_r [D_r] - h) still equals the minimum.  Some
+completion of that prefix reaches the minimum and no smaller i_r has one,
+so every minimizer agrees with the choice on entries 1..r, and the tuple
+built is the lex-first minimizer.  When the walk's best value over its lex
+prefix already equals the tables' minimum, the walk's tuple is that
+minimizer and is kept.
+
+F is a rent-or-buy bound: the n tables are built from at most p^s * |G|
+sums each, and the greedy pass scores at most as many, so a question walks
+no longer than its tables could cost before it builds them.  The index of
+a class divides |G|, so |G| >= p^s and F > (p^s)^n when n <= 2: a one- or
+two-factor question always finishes its walk and never builds tables.
+
 A question thus costs a fixed part and a part per tuple scanned.  The fixed
 part is the floor pass and the n step classes (the deficiency tables come
 from the cache).  Each tuple costs one combine call of two terms, the class
 and its step, one deficiency product over the tables, and the model index of
 the class only when the deficiency alone is below the best value so far.
+At most F tuples are scanned; a question that outlasts them adds at most
+about 2F steps of table work, with no combine call.
 
 A decision that asks the same question many times runs inside
 reuses_reduced_index: within that one call, reduced_index answers a repeated
@@ -59,7 +88,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from contextvars import ContextVar
-from operator import getitem, mod, sub
+from operator import add, getitem, mod, sub
 
 from ._value import Value
 from .brauer import (
@@ -325,16 +354,76 @@ def _coset_floor(
     return floor
 
 
+def _suffix_minimum(
+    start: BrauerClass,
+    pairs: Sequence[tuple[tuple[int, ...], int]],
+    s: int,
+    best: float = math.inf,
+    best_tuple: tuple[int, ...] = (),
+) -> ReducedIndex:
+    """The minimum over all twists of the class start, and its first tuple,
+    from suffix tables over raw exponent vectors (module docstring).  best
+    and best_tuple are a walk's answer over a lex prefix, kept when the
+    tables find no lower value; the caller has checked the model and the
+    degree p^s."""
+    group = start.group
+    p, orders = group.prime, group.generator_orders
+    # tables[r][h]: the least deficiency product of entries r, ..., n whose
+    # classes i_r[D_r] + ... + i_n[D_n] sum to h; tables[n] = {0: 1}.
+    tables = [{(0,) * len(orders): 1}]
+    for exps, k in reversed(pairs):
+        row = _deficiency_table(p, k, s)
+        table = {}
+        for x, least in tables[-1].items():
+            for deficiency in row[1:]:
+                x = tuple(map(mod, map(add, x, exps), orders))
+                if deficiency * least < table.get(x, math.inf):
+                    table[x] = deficiency * least
+        tables.append(table)
+    tables.reverse()
+    cls = start.exponents
+    value = min(
+        least * _index(map(sub, cls, h), orders) for h, least in tables[0].items()
+    )
+    if value == best:
+        return ReducedIndex(best, best_tuple)
+    # The least i_r whose prefix still reaches the value over the suffix
+    # table is the entry r of the lex-first minimizer.
+    witness, prefix = [], 1
+    for (exps, k), suffix in zip(pairs, tables[1:]):
+        x = cls
+        for i, deficiency in enumerate(_deficiency_table(p, k, s)[1:], 1):
+            x = tuple(map(mod, map(sub, x, exps), orders))
+            head = prefix * deficiency
+            if head <= value and any(
+                head * least * _index(map(sub, x, h), orders) == value
+                for h, least in suffix.items()
+            ):
+                break
+        else:
+            raise InvariantViolation(
+                f"index reduction found no entry {len(witness) + 1} reaching {value}"
+            )
+        witness.append(i)
+        prefix, cls = head, x
+    return ReducedIndex(value, tuple(witness))
+
+
 def _enumerate(target: AlgebraSpec, base: GSBProduct, pairs: tuple) -> ReducedIndex:
     same_model([target.model, base.model], "target and base")
     s = common_degree([target, *base.algebras()], "index reduction")
     # No tuple scores below the coset floor (module docstring), so the scan
-    # stops at the first tuple that reaches it.
+    # stops at the first tuple that reaches it.  A walk of more than
+    # n * p^s * |G| tuples hands over to the suffix tables, which cost no
+    # more than that.
     start = target.brauer_class
-    orders = start.group.generator_orders
+    group = start.group
+    orders = group.generator_orders
     floor = _coset_floor(start.exponents, [exps for exps, _ in pairs], orders)
+    q, n = group.prime**s, len(pairs)
+    budget = n * q * math.prod(orders)
     best, best_tuple = math.inf, ()
-    for tup, deficiency, cls in _twists(start, pairs, s):
+    for tup, deficiency, cls in itertools.islice(_twists(start, pairs, s), budget):
         # the index is at least 1, so only a deficiency below best can win
         if deficiency < best:
             value = deficiency * _index(cls.exponents, orders)
@@ -342,6 +431,9 @@ def _enumerate(target: AlgebraSpec, base: GSBProduct, pairs: tuple) -> ReducedIn
                 best, best_tuple = value, tup
                 if best == floor:
                     break
-    if not best_tuple:
-        raise InvariantViolation("index reduction enumerated no tuples")
+    else:
+        if not best_tuple:
+            raise InvariantViolation("index reduction enumerated no tuples")
+        if budget < q**n:
+            return _suffix_minimum(start, pairs, s, best, best_tuple)
     return ReducedIndex(best, best_tuple)

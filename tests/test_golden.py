@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import gsbmaps.reduction
 from gsbmaps.cli import _text, build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -76,6 +77,23 @@ def test_matches_golden(case, fixture, argv, capsys):
     code = main(["-i", str(path), *argv])
     assert code == EXIT_CODES[case]
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN_DIR / case).read_bytes()
+
+
+def test_goldens_never_reach_the_suffix_tables(monkeypatch, capsys):
+    # every golden question has one or two base factors, so its walk of at
+    # most (p^s)^2 tuples ends within the budget n * p^s * |G|: with the
+    # suffix tables made to raise, every case, verify-examples included,
+    # still prints its golden bytes and exits with its golden code
+    def refuse(*args):
+        raise AssertionError("a golden question reached the suffix tables")
+
+    monkeypatch.setattr(gsbmaps.reduction, "_suffix_minimum", refuse)
+    for case, fixture, argv in CASES:
+        path = resources.files("gsbmaps") / "fixtures" / f"{fixture}.json"
+        assert main(["-i", str(path), *argv]) == EXIT_CODES[case], case
+        out = capsys.readouterr().out.encode("utf-8")
+        assert out == (GOLDEN_DIR / case).read_bytes(), case
+    assert any("verify-examples" in argv for _, _, argv in CASES)
 
 
 PAIRS = sorted({case.rsplit(".", 1)[0] for case, _, _ in CASES})

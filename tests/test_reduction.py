@@ -6,7 +6,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gsbmaps.maps
@@ -324,17 +324,31 @@ def _oracle_scan(target, base):
     value, witness = want
     if value != oracle_coset_floor(orders, target.brauer_class.exponents, vecs):
         return want, q**n, "never"
+    rank = _lex_rank(witness, q)
+    return want, rank, "first" if rank == 1 else "later"
+
+
+def _walk_budget(target, base):
+    """n * p^s * |G|: the most tuples reduced_index walks before it builds
+    its suffix tables."""
+    return len(base) * target.degree * math.prod(target.model.generator_orders)
+
+
+def _lex_rank(witness, q):
+    """1 + the number of tuples of [1, q]^n before witness in lex order."""
     rank = 1
     for j, entry in enumerate(witness):
-        rank += (entry - 1) * q ** (n - 1 - j)
-    return want, rank, "first" if rank == 1 else "later"
+        rank += (entry - 1) * q ** (len(witness) - 1 - j)
+    return rank
 
 
 def _check_against_oracle(target, factors):
     # factors: (algebra, k) pairs; the witness must also re-verify through
-    # reduction_term, the scan must stop where the oracles predict, and the
-    # value must equal the valuation-level oracle, which walks no tuples.
-    # Returns where the scan reached the coset floor.
+    # reduction_term, the scan must stop where the oracles predict or at the
+    # walk budget, and the value must equal the valuation-level oracle, which
+    # walks no tuples.  Returns where the scan reached the coset floor, and
+    # for a scan cut at the budget where the witness lies: "prefix" (kept
+    # from the walk) or "beyond" (found by the tables), else None.
     base = GSBProduct(tuple(GSBFactor(a, k) for a, k in factors))
     with pytest.MonkeyPatch.context() as mp:
         combines = _count_combines(mp)
@@ -342,11 +356,15 @@ def _check_against_oracle(target, factors):
     want, scanned, reached = _oracle_scan(target, base)
     assert (got.value, got.witness) == want
     assert got.value == oracle_level_reduced_index(target, base)
-    assert len(combines) == scanned
+    budget = _walk_budget(target, base)
+    assert len(combines) == min(scanned, budget)
     # one combine per tuple, of two terms: the class and its step class
     assert all(len(terms) == 2 for terms in combines)
     assert reduction_term(target, base, got.witness) == got.value
-    return reached
+    tabled = None
+    if scanned > budget:
+        tabled = "prefix" if _lex_rank(got.witness, target.degree) <= budget else "beyond"
+    return reached, tabled
 
 
 def _enumerated_questions():
@@ -368,7 +386,10 @@ class TestReducedIndexBeyondTwoFactorsAndPTwo:
         # biquaternion pin: floor 1, minimum 4)
         reached = set()
         for target, factors in _enumerated_questions():
-            reached.add(_check_against_oracle(target, factors))
+            floor_reached, tabled = _check_against_oracle(target, factors)
+            reached.add(floor_reached)
+            # n <= 2: the budget n * p^s * |G| exceeds (p^s)^n
+            assert tabled is None
         assert reached == {"first", "later", "never"}
 
     def test_enumerated_models_walk_tuple_by_tuple(self):
@@ -443,17 +464,20 @@ class TestReducedIndexBeyondTwoFactorsAndPTwo:
     def _check_mixed_k(model, s, patterns):
         # every multiset of base algebras of degree p^s, at every k pattern
         # given, against the first algebra (one target keeps each test near a
-        # second)
+        # second); returns where the witnesses past the walk budget lie
         algebras = by_degree(model)[s]
         target, n = algebras[0], len(patterns[0])
+        tabled = set()
         for bases in itertools.combinations_with_replacement(algebras, n):
             for ks in patterns:
-                _check_against_oracle(target, list(zip(bases, ks)))
+                tabled.add(_check_against_oracle(target, list(zip(bases, ks)))[1])
+        return tabled - {None}
 
     @pytest.mark.parametrize(
         "model", [BrauerGroupModel(2, (2, 2, 2)), BrauerGroupModel(2, (4, 2))], ids=str
     )
     def test_three_factors_mixed_k_match_oracle(self, model):
+        tabled = set()
         for s in by_degree(model):
             if s < 2:
                 continue  # k = 0 is the only choice
@@ -463,16 +487,22 @@ class TestReducedIndexBeyondTwoFactorsAndPTwo:
                 for ks in itertools.product(range(s), repeat=3)
                 if len(set(ks)) == min(s, 3)
             ]
-            self._check_mixed_k(model, s, mixed)
+            tabled |= self._check_mixed_k(model, s, mixed)
+        # at s = 3 the budget 3 * 8 * 8 is below 8^3, and some minimizers lie
+        # past it (the four-factor test below has them inside it)
+        assert tabled == {"beyond"}
 
     def test_four_factors_mixed_k_match_oracle(self):
         # Z/4 x Z/2 at s = 2: (1,0) and (3,0) have exponent 4 = degree, (2,1)
         # exponent 2 < degree.  Four factors make the lex walk carry at three
         # levels, e.g. (1,4,4,4) -> (2,1,1,1); the bases repeat algebras and
         # some contain the target (1,0).  Every arrangement of two k = 0 and
-        # two k = 1.
+        # two k = 1.  The budget 4 * 4 * 8 is below 4^4; past it, some
+        # minimizers lie in the walked prefix (the three-factor test above has
+        # them beyond it).
         two_each = [ks for ks in itertools.product(range(2), repeat=4) if sum(ks) == 2]
-        self._check_mixed_k(BrauerGroupModel(2, (4, 2)), 2, two_each)
+        tabled = self._check_mixed_k(BrauerGroupModel(2, (4, 2)), 2, two_each)
+        assert tabled == {"prefix"}
 
     @pytest.mark.parametrize(
         "model, s",
@@ -534,6 +564,111 @@ class TestReducedIndexAtPFive:
             for b1, b2 in itertools.combinations_with_replacement(algebras[1:4], 2):
                 for ks in itertools.product(range(2), repeat=2):
                     _check_against_oracle(target, [(b1, ks[0]), (b2, ks[1])])
+
+
+@st.composite
+def _table_questions(draw):
+    """A question over a small model with p in {2, 3, 5} and one to three
+    base factors, as (target, [(algebra, k), ...]), at most 729 tuples."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    orders = tuple(
+        p**e for e in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    )
+    assume(math.prod(orders) <= 128)
+    degrees = by_degree(BrauerGroupModel(p, orders))
+    s = draw(st.sampled_from(sorted(degrees)))
+    n = draw(st.integers(1, 3))
+    assume(p ** (s * n) <= 729)
+    algebras = st.sampled_from(degrees[s])
+    target = draw(algebras)
+    factors = [(draw(algebras), draw(st.integers(0, s - 1))) for _ in range(n)]
+    return target, factors
+
+
+def _tables_answer(target, factors):
+    pairs = [(a.brauer_class.exponents, k) for a, k in factors]
+    return gsbmaps.reduction._suffix_minimum(
+        target.brauer_class, pairs, target.degree_exponent
+    )
+
+
+def _check_tables_against_oracles(target, factors):
+    got = _tables_answer(target, factors)
+    model = target.model
+    want = oracle_reduced_index(
+        model.prime,
+        target.degree_exponent,
+        model.generator_orders,
+        target.brauer_class.exponents,
+        [(a.brauer_class.exponents, k) for a, k in factors],
+    )
+    assert (got.value, got.witness) == want
+    assert got.value == oracle_level_reduced_index(target, product_of(*zip(*factors)))
+
+
+class TestSuffixTables:
+    # the minimum and its lex-first witness from the suffix tables alone,
+    # with no walk before them (reduced_index builds them only past its
+    # walk budget, and only for three or more factors)
+
+    def test_enumerated_questions_match_oracles(self):
+        for target, factors in _enumerated_questions():
+            _check_tables_against_oracles(target, factors)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_table_questions())
+    def test_drawn_questions_match_oracles(self, question):
+        _check_tables_against_oracles(*question)
+
+    @pytest.mark.parametrize(
+        "ks",
+        [(1, 2, 1, 1, 2, 1), (1, 2, 1, 1, 2, 1, 1, 1)],
+        ids=["6 factors", "8 factors"],
+    )
+    def test_many_factors_walk_the_budget_then_use_the_tables(self, ks):
+        # (Z/2)^5 at s = 3: the target lies in H, so the coset floor is 1,
+        # but every k is at least 1, so reaching the zero class costs a
+        # deficiency of 2 or more and the walk never stops early; it makes
+        # exactly n * 8 * 32 combine calls, far fewer than 8^n
+        model = BrauerGroupModel(2, (2, 2, 2, 2, 2))
+        vecs = [
+            (1, 1, 0, 1, 0),
+            (0, 0, 1, 1, 1),
+            (1, 0, 1, 0, 1),
+            (0, 1, 1, 0, 1),
+            (1, 1, 0, 0, 1),
+            (0, 1, 0, 1, 1),
+            (1, 0, 0, 1, 1),
+            (0, 1, 1, 1, 0),
+        ][: len(ks)]
+        target = division_algebra(model.element((1, 1, 1, 0, 0)))
+        base = product_of([division_algebra(model.element(v)) for v in vecs], ks)
+        orders = model.generator_orders
+        assert oracle_coset_floor(orders, target.brauer_class.exponents, vecs) == 1
+        with pytest.MonkeyPatch.context() as mp:
+            combines = _count_combines(mp)
+            got = reduced_index(target, base)
+        assert len(combines) == _walk_budget(target, base) == len(ks) * 8 * 32
+        assert got.value == oracle_level_reduced_index(target, base) > 1
+        assert reduction_term(target, base, got.witness) == got.value
+
+    def test_a_greedy_pass_with_no_entry_is_an_invariant_violation(self, monkeypatch):
+        # an index that doubles when a class is scored again breaks the
+        # tables' promise: the value pass scores each class once, and the
+        # greedy pass then finds no first entry reaching that value
+        _, d1, d2, d3 = mixed_exponent_model()
+        real_index = gsbmaps.reduction._index
+        seen = set()
+
+        def doubling_index(x, orders):
+            x = tuple(e % o for e, o in zip(x, orders))
+            again = x in seen
+            seen.add(x)
+            return real_index(x, orders) * (2 if again else 1)
+
+        monkeypatch.setattr(gsbmaps.reduction, "_index", doubling_index)
+        with pytest.raises(InvariantViolation, match="found no entry 1 reaching"):
+            _tables_answer(d3, [(d1, 1), (d2, 0), (d1, 0)])
 
 
 class TestDeficiencyTables:
